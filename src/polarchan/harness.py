@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .equiv import PivotError, normalized_diff
 from .matkit import random_density, random_unitary, square, unitarity_defect
-from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, solve
+from .search import STATUS_MAX_ITERS, ChannelInstance, IterationTrace, SolverConfig, solve
 from .tomo import ChannelOracle, ReconstructionError, reconstruct
 
 TRACE_HEADER = "iter,objective,step_norm,residual"
@@ -135,7 +134,6 @@ class RunSpec:
     input_path: str | None = None
     out_dir: str = "."
     circuit: str | None = None
-    jobs: int = 1
     force_degenerate: bool = False
 
 
@@ -179,33 +177,11 @@ def density_candidates(n: int, base_seed: int, min_rel_gap: float, max_tries: in
             yield rho, s
 
 
-def pick_nondegenerate_density(n: int, base_seed: int, min_rel_gap: float, max_tries: int = 256):
-    """First seeded random density whose relative eigengap clears the floor."""
-    for rho, s in density_candidates(n, base_seed, min_rel_gap, max_tries):
-        return rho, s
-    raise RuntimeError(f"no density with relative eigengap >= {min_rel_gap} in {max_tries} draws")
-
-
-class _TraceWriter:
-    """Streams trace rows to CSV, flushing after every iteration."""
-
-    def __init__(self, path):
-        self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(TRACE_HEADER + "\n")
-        self._fh.flush()
-
-    def __call__(self, it, obj, step_norm, res):
-        self._fh.write(f"{it},{obj!r},{step_norm!r},{res!r}\n")
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()
-
-
-def _write_trace_rows(path, rows) -> None:
+def _write_trace(path, trace: IterationTrace) -> None:
+    cols = zip(trace.objective.tolist(), trace.step_norm.tolist(), trace.residual.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for it, obj, step_norm, res in rows:
+        for it, (obj, step_norm, res) in enumerate(cols):
             fh.write(f"{it},{obj!r},{step_norm!r},{res!r}\n")
 
 
@@ -236,13 +212,10 @@ def cmd_solve(spec: RunSpec) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    writer = _TraceWriter(out / "trace.csv")
     t0 = time.perf_counter()
-    try:
-        result = solve(instance, spec.solver, on_iteration=writer)
-    finally:
-        writer.close()
+    result = solve(instance, spec.solver)
     wall = time.perf_counter() - t0
+    _write_trace(out / "trace.csv", result.trace)
 
     summary = {
         "status": result.status,
@@ -262,9 +235,9 @@ def cmd_solve(spec: RunSpec) -> int:
     return 0 if result.status != STATUS_MAX_ITERS else 2
 
 
-def _reconstruct_once(hidden, rho0, solver, on_iteration=None):
+def _reconstruct_once(hidden, rho0, solver):
     oracle = ChannelOracle(hidden)
-    report = reconstruct(oracle, rho0, solver, on_iteration=on_iteration)
+    report = reconstruct(oracle, rho0, solver)
     diff = _phase_invariant_diff(report.u_recovered, hidden)
     return report, diff
 
@@ -318,11 +291,8 @@ def cmd_repro_ex1(spec: RunSpec) -> int:
     try:
         for name, n_pairs, child in (("single", 1, seeds[0]), ("multi", 20, seeds[1])):
             _, instance = generate_exact_instance(10, n_pairs, child)
-            writer = _TraceWriter(out / f"ex1_{name}_trace.csv")
-            try:
-                result = solve(instance, spec.solver, on_iteration=writer)
-            finally:
-                writer.close()
+            result = solve(instance, spec.solver)
+            _write_trace(out / f"ex1_{name}_trace.csv", result.trace)
             summary[name] = {
                 "pairs": n_pairs,
                 "status": result.status,
@@ -343,36 +313,27 @@ def cmd_repro_ex1(spec: RunSpec) -> int:
     return 0
 
 
-def _ex2_run(k: int, base_seed: int, solver: SolverConfig, capture_trace: bool):
+def _ex2_run(k: int, base_seed: int, solver: SolverConfig):
     # The identity-start iteration occasionally passes near a saddle and needs
     # far more than the canned iteration budget; such probe states are skipped
     # and the next candidate seed is tried (every used seed is reported).
     hidden = build_example2_circuit()
     last_exc = None
     for rho0, used_seed in density_candidates(8, base_seed, EX2_GAP_FLOOR, max_tries=64):
-        rows: list[tuple] = []
-        last_row: list[tuple] = [()]
-
-        def cb(*row):
-            last_row[0] = row
-            if capture_trace:
-                rows.append(row)
-
         try:
-            report, diff = _reconstruct_once(hidden, rho0, solver, on_iteration=cb)
+            report, diff = _reconstruct_once(hidden, rho0, solver)
         except ReconstructionError as exc:
             last_exc = exc
             continue
+        trace = report.solve.trace
         return {
-            "run": k,
             "seed": used_seed,
             "normalized_diff": diff,
             "budget_used": report.budget_used,
-            "eigengap": report.eigengap,
             "residual_on_tests": report.residual_on_tests,
-            "iterations": last_row[0][0],
-            "final_objective": last_row[0][1],
-            "rows": rows,
+            "iterations": len(trace) - 1,
+            "final_objective": float(trace.objective[-1]),
+            "trace": trace,
         }
     raise ReconstructionError(f"run {k}: no candidate probe state converged: {last_exc}")
 
@@ -382,25 +343,16 @@ def cmd_repro_ex2(spec: RunSpec) -> int:
     out.mkdir(parents=True, exist_ok=True)
     run_seeds = _child_seeds(spec.seed, EX2_RUNS)
     try:
-        if spec.jobs > 1:
-            with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-                futures = [
-                    pool.submit(_ex2_run, k, run_seeds[k], spec.solver, k == 0)
-                    for k in range(EX2_RUNS)
-                ]
-                results = [f.result() for f in futures]
-        else:
-            results = [_ex2_run(k, run_seeds[k], spec.solver, k == 0) for k in range(EX2_RUNS)]
+        results = [_ex2_run(k, run_seeds[k], spec.solver) for k in range(EX2_RUNS)]
     except (ValueError, ReconstructionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    results.sort(key=lambda r: r["run"])
     with open(out / "ex2_diffs.csv", "w", encoding="utf-8") as fh:
         fh.write("run,seed,normalized_diff\n")
-        for r in results:
-            fh.write(f"{r['run']},{r['seed']},{r['normalized_diff']!r}\n")
-    _write_trace_rows(out / "ex2_run000_trace.csv", results[0]["rows"])
+        for k, r in enumerate(results):
+            fh.write(f"{k},{r['seed']},{r['normalized_diff']!r}\n")
+    _write_trace(out / "ex2_run000_trace.csv", results[0]["trace"])
     summary = {
         "runs": EX2_RUNS,
         "max_normalized_diff": max(r["normalized_diff"] for r in results),
@@ -465,13 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("repro-ex1", help="single-pair and 20-pair n=10 solver traces")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=".")
-    sp.add_argument("--jobs", type=int, default=1)
     _add_solver_flags(sp)
 
     sp = sub.add_parser("repro-ex2", help="20 reconstructions of the 8x8 benchmark circuit")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=".")
-    sp.add_argument("--jobs", type=int, default=1)
     _add_solver_flags(sp)
 
     return p
@@ -503,7 +453,6 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         input_path=getattr(args, "input_path", None),
         out_dir=getattr(args, "out", "."),
         circuit=getattr(args, "circuit", None),
-        jobs=getattr(args, "jobs", 1),
         force_degenerate=getattr(args, "force_degenerate", False),
     )
 

@@ -83,6 +83,12 @@ def tangent_project(x, h) -> np.ndarray:
     return x @ skew_part(x.conj().T @ h)
 
 
+def _check_hermitian(a: np.ndarray, label: str) -> None:
+    """Raise ValueError unless ||a - a*||_F <= 1e-10 ||a||_F."""
+    if frob_norm(a - a.conj().T) > 1e-10 * max(frob_norm(a), 1e-300):
+        raise ValueError(f"{label} is not Hermitian within 1e-10")
+
+
 @dataclass(frozen=True)
 class HermitianEigen:
     """Eigenvalues sorted descending; column i of eigenvectors pairs with eigenvalue i."""
@@ -99,9 +105,7 @@ def hermitian_eig(a) -> HermitianEigen:
     positive, making the basis bit-stable across repeated calls.
     """
     a = square(a)
-    scale = frob_norm(a)
-    if frob_norm(a - a.conj().T) > 1e-10 * max(scale, 1e-300):
-        raise ValueError("matrix is not Hermitian within 1e-10 relative tolerance")
+    _check_hermitian(a, "matrix")
     w, v = np.linalg.eigh(herm_part(a))
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])

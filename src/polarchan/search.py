@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import frob_norm, poldec, random_unitary, skew_part, square
+from .matkit import _check_hermitian, frob_norm, poldec, random_unitary, skew_part, square
 
 __all__ = [
     "ChannelInstance",
@@ -41,9 +41,7 @@ def _validated_state(m, label: str) -> np.ndarray:
     m = square(m)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{label} has non-finite entries")
-    scale = frob_norm(m)
-    if frob_norm(m - m.conj().T) > 1e-10 * max(scale, 1e-300):
-        raise ValueError(f"{label} is not Hermitian within 1e-10")
+    _check_hermitian(m, label)
     evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     if evals[0] <= -1e-10 * max(abs(evals[-1]), 1e-300):
         raise ValueError(f"{label} is not positive definite within 1e-10")
@@ -129,27 +127,14 @@ def _pair_list(pairs):
     return [(square(r), square(s)) for r, s in pairs]
 
 
-def objective(u, pair) -> float:
-    """Misfit 0.5 ||sigma - U rho U*||_F^2 for a single (rho, sigma) pair."""
+def _checked_pair(u, pair):
     u = square(u)
     rho, sigma = pair
     rho = square(rho)
     sigma = square(sigma)
     if rho.shape != u.shape or sigma.shape != u.shape:
         raise ValueError("dimension mismatch between U and the state pair")
-    d = sigma - u @ rho @ u.conj().T
-    return 0.5 * float(np.real(np.vdot(d, d)))
-
-
-def neg_gradient(u, pair) -> np.ndarray:
-    """Negative Euclidean gradient of the pair objective: 2 sigma U rho."""
-    u = square(u)
-    rho, sigma = pair
-    rho = square(rho)
-    sigma = square(sigma)
-    if rho.shape != u.shape or sigma.shape != u.shape:
-        raise ValueError("dimension mismatch between U and the state pair")
-    return 2.0 * (sigma @ u @ rho)
+    return u, [(rho, sigma)]
 
 
 def _grad_sum(u, pairs) -> np.ndarray:
@@ -168,6 +153,21 @@ def _total_objective(u, pairs) -> float:
     return float(total)
 
 
+def _residual(u, m) -> float:
+    """||skew(U* m)||_F for the summed negative gradient m at U."""
+    return frob_norm(skew_part(u.conj().T @ m))
+
+
+def objective(u, pair) -> float:
+    """Misfit 0.5 ||sigma - U rho U*||_F^2 for a single (rho, sigma) pair."""
+    return _total_objective(*_checked_pair(u, pair))
+
+
+def neg_gradient(u, pair) -> np.ndarray:
+    """Negative Euclidean gradient of the pair objective: 2 sigma U rho."""
+    return _grad_sum(*_checked_pair(u, pair))
+
+
 def residual(u, pairs) -> float:
     """Norm of the tangent part of the pulled-back gradient: ||skew(U* sum_i grad_i)||_F.
 
@@ -175,8 +175,7 @@ def residual(u, pairs) -> float:
     on the unitary group.
     """
     u = square(u)
-    m = _grad_sum(u, _pair_list(pairs))
-    return frob_norm(skew_part(u.conj().T @ m))
+    return _residual(u, _grad_sum(u, _pair_list(pairs)))
 
 
 def step(u, pairs) -> np.ndarray:
@@ -185,13 +184,12 @@ def step(u, pairs) -> np.ndarray:
     return poldec(_grad_sum(u, _pair_list(pairs))).unitary
 
 
-def solve(instance, config: SolverConfig | None = None, on_iteration=None) -> SolveResult:
+def solve(instance, config: SolverConfig | None = None) -> SolveResult:
     """Iterate the polar fixed-point update until the objective drops below tol,
     the update norm stalls below stall_tol, or max_iters is exhausted.
 
     The trace records the start point (iteration 0 with step norm 0) and every
-    subsequent iterate. ``on_iteration(i, objective, step_norm, residual)`` is
-    invoked for each recorded row, allowing callers to stream the trace.
+    subsequent iterate.
     """
     if not isinstance(instance, ChannelInstance):
         instance = ChannelInstance(list(instance))
@@ -204,27 +202,18 @@ def solve(instance, config: SolverConfig | None = None, on_iteration=None) -> So
     else:
         u = random_unitary(n, cfg.init_seed)
 
-    objs: list[float] = []
-    steps: list[float] = []
-    residuals: list[float] = []
-    singular = 0
-
-    def record(i, obj, dnorm, res):
-        objs.append(obj)
-        steps.append(dnorm)
-        residuals.append(res)
-        if on_iteration is not None:
-            on_iteration(i, obj, dnorm, res)
-
     m = _grad_sum(u, pairs)
     obj = _total_objective(u, pairs)
-    record(0, obj, 0.0, frob_norm(skew_part(u.conj().T @ m)))
+    objs = [obj]
+    steps = [0.0]
+    residuals = [_residual(u, m)]
+    singular = 0
 
     status = STATUS_MAX_ITERS
     if obj < cfg.tol:
         status = STATUS_CONVERGED_TOL
     else:
-        for it in range(1, cfg.max_iters + 1):
+        for _ in range(cfg.max_iters):
             w, svals, vh = np.linalg.svd(m)
             if svals[0] == 0.0 or svals[-1] <= svals[0] * _SINGULAR_RTOL:
                 singular += 1
@@ -233,7 +222,9 @@ def solve(instance, config: SolverConfig | None = None, on_iteration=None) -> So
             u = u_next
             m = _grad_sum(u, pairs)  # reused for the residual and the next update
             obj = _total_objective(u, pairs)
-            record(it, obj, dnorm, frob_norm(skew_part(u.conj().T @ m)))
+            objs.append(obj)
+            steps.append(dnorm)
+            residuals.append(_residual(u, m))
             if obj < cfg.tol:
                 status = STATUS_CONVERGED_TOL
                 break

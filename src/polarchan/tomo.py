@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkit import frob_norm, hermitian_eig, random_density, square, unitarity_defect
-from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, solve
+from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult, solve
 
 __all__ = [
     "ChannelOracle",
@@ -180,12 +180,18 @@ def probe_states(v, p: int, q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     for idx in (p, q, r):
         if not 0 <= idx < n:
             raise ValueError(f"probe index {idx} out of range for dimension {n}")
-    vr = v[:, r]
-    anchor = np.outer(vr, vr.conj())
+    return _probes(v, p, q, r)
+
+
+def _probes(v, p: int, q: int, r: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The probe_states pair, anchored on column r unless r is None."""
     cross = np.outer(v[:, p], v[:, q].conj())
-    plus = anchor + 0.5 * (cross + cross.conj().T)
-    minus = anchor + (cross - cross.conj().T) / 2j
-    return plus, minus
+    plus = 0.5 * (cross + cross.conj().T)
+    minus = (cross - cross.conj().T) / 2j
+    if r is None:
+        return plus, minus
+    anchor = np.outer(v[:, r], v[:, r].conj())
+    return anchor + plus, anchor + minus
 
 
 def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int, r: int | None = None) -> complex:
@@ -215,9 +221,7 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int, r: int |
             r = min(k for k in range(n) if k not in (p, q))
         plus, minus = probe_states(v, p, q, r)
     else:
-        cross = np.outer(v[:, p], v[:, q].conj())
-        plus = 0.5 * (cross + cross.conj().T)
-        minus = (cross - cross.conj().T) / 2j
+        plus, minus = _probes(v, p, q, None)
     w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
     proj = Observable(np.outer(w, w.conj()), "probe")
     m_plus = measure(oracle, plus, proj)
@@ -233,7 +237,8 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int, r: int |
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    """Everything a full channel recovery produces, including its query budget."""
+    """Everything a full channel recovery produces, including its query budget
+    and the single-pair solve (status, iteration trace, singular steps)."""
 
     u0: np.ndarray
     v: np.ndarray
@@ -242,6 +247,7 @@ class ReconstructionReport:
     budget_used: int
     eigengap: float
     residual_on_tests: float
+    solve: SolveResult
 
 
 def reconstruct(
@@ -249,7 +255,6 @@ def reconstruct(
     rho0,
     solver_config: SolverConfig | None = None,
     check_seed: int = 0,
-    on_iteration=None,
 ) -> ReconstructionReport:
     """Recover the hidden unitary from one non-degenerate probe state.
 
@@ -287,7 +292,7 @@ def reconstruct(
     start = oracle.queries
     sigma0 = state_tomography(oracle, rho0)
     cfg = solver_config if solver_config is not None else SolverConfig(tol=1e-28)
-    result = solve(ChannelInstance([(rho0, sigma0)]), cfg, on_iteration=on_iteration)
+    result = solve(ChannelInstance([(rho0, sigma0)]), cfg)
     if result.status == STATUS_MAX_ITERS:
         raise ReconstructionError(
             f"solver hit the iteration cap with objective {result.trace.objective[-1]:.3e}"
@@ -314,4 +319,5 @@ def reconstruct(
         budget_used=budget_used,
         eigengap=float(eigengap),
         residual_on_tests=float(worst),
+        solve=result,
     )

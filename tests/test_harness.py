@@ -17,6 +17,7 @@ from polarchan.harness import (
     write_matrix_file,
 )
 from polarchan.matkit import kron, random_density, random_unitary, unitarity_defect
+from polarchan.search import SolverConfig, solve
 
 
 class TestCircuitAndGates:
@@ -93,6 +94,18 @@ class TestCmdSolve:
         assert summary["final_objective"] < 1e-20
         header = (out / "trace.csv").read_text().splitlines()[0]
         assert header == "iter,objective,step_norm,residual"
+
+    def test_trace_csv_matches_solve_result(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["solve", "--n", "5", "--pairs", "2", "--seed", "13", "--out", str(out)]) == 0
+        _, inst = generate_exact_instance(5, 2, 13)
+        trace = solve(inst, SolverConfig()).trace
+        rows = [r.split(",") for r in (out / "trace.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(trace)
+        assert [int(r[0]) for r in rows] == list(range(len(trace)))
+        for col, values in ((1, trace.objective), (2, trace.step_norm), (3, trace.residual)):
+            assert [float(r[col]) for r in rows] == values.tolist()
+        assert float(rows[0][2]) == 0.0
 
     def test_trivial_instance_exits_immediately(self, tmp_path):
         rho = random_density(4, 7)
@@ -222,9 +235,9 @@ class TestReproCommands:
             objs = [float(r.split(",")[1]) for r in rows]
             assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
-    def test_repro_ex2_with_jobs(self, tmp_path):
+    def test_repro_ex2(self, tmp_path):
         out = tmp_path / "ex2"
-        assert main(["repro-ex2", "--seed", "4", "--out", str(out), "--jobs", "4"]) == 0
+        assert main(["repro-ex2", "--seed", "4", "--out", str(out)]) == 0
         summary = json.loads((out / "ex2_summary.json").read_text())
         assert summary["runs"] == 20
         assert summary["max_normalized_diff"] < 1e-9
@@ -236,9 +249,9 @@ class TestReproCommands:
         assert trace_rows[0] == "iter,objective,step_norm,residual"
         assert len(trace_rows) > 10
 
-    def test_repro_ex2_jobs_do_not_change_content(self, tmp_path):
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert main(["repro-ex2", "--seed", "6", "--out", str(seq)]) == 0
-        assert main(["repro-ex2", "--seed", "6", "--out", str(par), "--jobs", "3"]) == 0
-        assert (seq / "ex2_diffs.csv").read_bytes() == (par / "ex2_diffs.csv").read_bytes()
-        assert (seq / "ex2_summary.json").read_bytes() == (par / "ex2_summary.json").read_bytes()
+    def test_repro_ex2_deterministic(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["repro-ex2", "--seed", "6", "--out", str(out)]) == 0
+        for name in ("ex2_diffs.csv", "ex2_summary.json", "ex2_run000_trace.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -228,14 +228,6 @@ class TestSolve:
         b = solve(inst, cfg)
         assert np.array_equal(a.u_hat, b.u_hat)
 
-    def test_callback_rows_match_trace(self):
-        _, inst = exact_instance(3, 77)
-        rows = []
-        res = solve(inst, SolverConfig(max_iters=100), on_iteration=lambda *r: rows.append(r))
-        assert len(rows) == len(res.trace)
-        assert rows[0][0] == 0 and rows[0][2] == 0.0
-        assert_allclose([r[1] for r in rows], res.trace.objective, rtol=0)
-
 
 class TestSolverConfig:
     def test_rejects_bad_values(self):
