@@ -271,6 +271,8 @@ def cmd_reconstruct(spec: RunSpec) -> int:
         "d": {"re": report.d.real.tolist(), "im": report.d.imag.tolist()},
         "u_recovered": matrix_to_obj(report.u_recovered),
         "budget_used": report.budget_used,
+        "tomography_queries": report.tomography_queries,
+        "phase_queries": report.phase_queries,
         "eigengap": report.eigengap if math.isfinite(report.eigengap) else None,
         "residual_on_tests": report.residual_on_tests,
         "normalized_diff": diff,

@@ -51,6 +51,11 @@ class ChannelOracle:
     ``apply`` evaluates the channel directly (used for verification, never
     counted); ``expectation`` is the only measurement primitive and increments
     the counter by exactly one per call, atomically.
+
+    ``apply`` reuses its latest evaluation: when the input matches the
+    previous one byte for byte it returns a copy of the stored output, so
+    repeated queries on one state cost O(n^2) after the first. Counting does
+    not depend on it: each ``expectation`` calls ``apply`` and adds exactly one.
     """
 
     def __init__(self, hidden_u):
@@ -60,6 +65,8 @@ class ChannelOracle:
         self._u = u.copy()
         self._queries = 0
         self._lock = threading.Lock()
+        # (input bytes, output) of the latest evaluation; read once, replaced whole.
+        self._last: tuple[bytes, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -70,11 +77,17 @@ class ChannelOracle:
         return self._queries
 
     def apply(self, state) -> np.ndarray:
-        """Evaluate Phi(state) = U state U* (not a measurement)."""
+        """Evaluate Phi(state) = U state U* (not a measurement); always a fresh array."""
         s = square(state)
         if s.shape != self._u.shape:
             raise ValueError(f"state is {s.shape}, channel dimension is {self.dim}")
-        return self._u @ s @ self._u.conj().T
+        key = s.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1].copy()
+        out = self._u @ s @ self._u.conj().T
+        self._last = (key, out)
+        return out.copy()
 
     def expectation(self, state, observable) -> float:
         """One measurement: Re tr(Phi(state) observable)."""
@@ -84,7 +97,8 @@ class ChannelOracle:
             raise ValueError(f"observable is {obs.shape}, channel dimension is {self.dim}")
         with self._lock:
             self._queries += 1
-        return float(np.real(np.trace(out @ obs)))
+        # sum_ij out_ij obs_ji, without forming the product
+        return float(np.real(np.vdot(obs.T.conj(), out)))
 
 
 @dataclass(frozen=True)
@@ -152,8 +166,8 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(i, n):
-            mp = measure(oracle, input_state, Observable(_e_plus(n, i, j), f"E+_{i}_{j}"))
-            mm = measure(oracle, input_state, Observable(_e_minus(n, i, j), f"E-_{i}_{j}"))
+            mp = oracle.expectation(input_state, _e_plus(n, i, j))
+            mm = oracle.expectation(input_state, _e_minus(n, i, j))
             if i == j:
                 out[i, i] = mp
             else:
@@ -238,13 +252,16 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int, r: int |
 @dataclass(frozen=True)
 class ReconstructionReport:
     """Everything a full channel recovery produces, including its query budget
-    and the single-pair solve (status, iteration trace, singular steps)."""
+    (in total and per stage: tomography, phases) and the single-pair solve
+    (status, iteration trace, singular steps)."""
 
     u0: np.ndarray
     v: np.ndarray
     d: np.ndarray
     u_recovered: np.ndarray
     budget_used: int
+    tomography_queries: int
+    phase_queries: int
     eigengap: float
     residual_on_tests: float
     solve: SolveResult
@@ -291,6 +308,7 @@ def reconstruct(
 
     start = oracle.queries
     sigma0 = state_tomography(oracle, rho0)
+    tomography_queries = oracle.queries - start
     cfg = solver_config if solver_config is not None else SolverConfig(tol=1e-28)
     result = solve(ChannelInstance([(rho0, sigma0)]), cfg)
     if result.status == STATUS_MAX_ITERS:
@@ -317,6 +335,8 @@ def reconstruct(
         d=d,
         u_recovered=u_recovered,
         budget_used=budget_used,
+        tomography_queries=tomography_queries,
+        phase_queries=budget_used - tomography_queries,
         eigengap=float(eigengap),
         residual_on_tests=float(worst),
         solve=result,

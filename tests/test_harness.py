@@ -170,6 +170,7 @@ class TestCmdReconstruct:
         report = json.loads((out / "report.json").read_text())
         assert report["normalized_diff"] < 1e-9
         assert report["budget_used"] <= 8 * 8 + 3 * 8
+        assert (report["tomography_queries"], report["phase_queries"]) == (8 * 8 + 8, 2 * 7)
         assert set(report) >= {"u0", "v", "d", "u_recovered", "budget_used", "eigengap", "residual_on_tests"}
 
     def test_identity_channel_file(self, tmp_path):

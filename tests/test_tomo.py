@@ -60,9 +60,11 @@ class TestChannelOracle:
         obs = herm_part(random_density(3, 6))
         counts = []
         for _ in range(4):
+            oracle.apply(rho)  # never counted, even when its output is reused
+            counts.append(oracle.queries)
             oracle.expectation(rho, obs)
             counts.append(oracle.queries)
-        assert counts == [1, 2, 3, 4]
+        assert counts == [0, 1, 1, 2, 2, 3, 3, 4]
 
     def test_expectation_matches_outside_computation(self):
         u = random_unitary(4, 7)
@@ -71,6 +73,44 @@ class TestChannelOracle:
         obs = herm_part(random_density(4, 9))
         direct = np.real(np.trace(u @ rho @ u.conj().T @ obs))
         assert_allclose(oracle.expectation(rho, obs), direct, atol=1e-14)
+
+    def test_expectation_on_non_hermitian_inputs(self):
+        rng = np.random.default_rng(10)
+        u = random_unitary(5, 11)
+        oracle = ChannelOracle(u)
+        s = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        obs = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        direct = np.real(np.trace(u @ s @ u.conj().T @ obs))
+        assert abs(oracle.expectation(s, obs) - direct) < 1e-14
+        assert abs(oracle.expectation(s, obs) - direct) < 1e-14  # reused output
+
+    def test_apply_sees_input_mutated_in_place(self):
+        u = random_unitary(4, 12)
+        oracle = ChannelOracle(u)
+        a = random_density(4, 13)
+        oracle.apply(a)
+        a[0, 1] += 0.25
+        a[1, 0] += 0.25
+        assert frob_norm(oracle.apply(a) - u @ a @ u.conj().T) < 1e-14
+
+    def test_writing_into_returned_output_does_not_leak(self):
+        u = random_unitary(4, 14)
+        oracle = ChannelOracle(u)
+        a = random_density(4, 15)
+        expected = u @ a @ u.conj().T
+        for _ in range(3):  # a fresh evaluation, then two reused ones
+            out = oracle.apply(a)
+            assert frob_norm(out - expected) < 1e-14
+            out[:] = 7.0
+
+    def test_alternating_states_get_their_own_outputs(self):
+        u = random_unitary(4, 16)
+        oracle = ChannelOracle(u)
+        a, b = random_density(4, 17), random_density(4, 18)
+        out_a, out_b, out_a2 = oracle.apply(a), oracle.apply(b), oracle.apply(a)
+        assert frob_norm(out_a - u @ a @ u.conj().T) < 1e-14
+        assert frob_norm(out_b - u @ b @ u.conj().T) < 1e-14
+        assert np.array_equal(out_a2, out_a)
 
 
 class TestBasisObservables:
@@ -126,7 +166,7 @@ class TestStateTomography:
         expected = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
         assert_allclose(state_tomography(oracle, rho), expected, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
     def test_budget_and_exactness(self, n):
         u = random_unitary(n, n)
         oracle = ChannelOracle(u)
@@ -265,6 +305,14 @@ class TestReconstruct:
         assert rep.budget_used <= n * n + 3 * n
         assert rep.residual_on_tests < 1e-8
         assert rep.eigengap > 1e-8
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_query_counts_per_stage(self, n):
+        oracle = ChannelOracle(random_unitary(n, 46 + n))
+        rep = reconstruct(oracle, random_density(n, 47 + n))
+        assert rep.tomography_queries == n * n + n
+        assert rep.phase_queries == 2 * (n - 1)
+        assert rep.tomography_queries + rep.phase_queries == rep.budget_used
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_recovers_hidden_unitary(self, n):
