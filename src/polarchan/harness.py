@@ -5,6 +5,12 @@ File formats (all JSON numbers are plain doubles, no complex literals):
   matrix file   {"n": N, "re": [[..]], "im": [[..]]}
   instance file {"pairs": [{"rho": <matrix>, "sigma": <matrix>}, ...]}
   trace CSV     header ``iter,objective,step_norm,residual``, one row per iteration
+
+Exit codes: 0 on success; 2 when ``solve`` stops at ``max-iters``; 1 for
+invalid input, an unusable ``--out``, or a typed library error
+(``DegenerateStateError``, ``ReconstructionError``), with one ``error:`` line
+on stderr and no traceback. ``main`` is the only place that turns an error
+into an exit code.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +28,7 @@ import numpy as np
 from .equiv import PivotError, normalized_diff
 from .matkit import random_density, random_unitary, square, unitarity_defect
 from .search import STATUS_MAX_ITERS, ChannelInstance, IterationTrace, SolverConfig, solve
-from .tomo import ChannelOracle, ReconstructionError, reconstruct
+from .tomo import RECONSTRUCT_TOL, ChannelOracle, ReconstructionError, reconstruct
 
 TRACE_HEADER = "iter,objective,step_norm,residual"
 
@@ -65,6 +70,17 @@ def build_example2_circuit() -> np.ndarray:
 # file formats
 # ---------------------------------------------------------------------------
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}")
+
+
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def matrix_to_obj(m) -> dict:
     m = square(m)
     return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
@@ -73,7 +89,9 @@ def matrix_to_obj(m) -> dict:
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"n", "re", "im"} <= set(obj):
         raise ValueError("matrix object needs fields n, re, im")
-    n = int(obj["n"])
+    n = obj["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"matrix field n must be an integer, got {n!r}")
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
@@ -87,27 +105,20 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 
 def write_matrix_file(path, m) -> None:
-    Path(path).write_text(json.dumps(matrix_to_obj(m), indent=2) + "\n")
+    _write_json(path, matrix_to_obj(m))
 
 
 def read_matrix_file(path) -> np.ndarray:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}")
-    return matrix_from_obj(obj)
+    return matrix_from_obj(_read_json(path))
 
 
 def write_instance_file(path, pairs) -> None:
     doc = {"pairs": [{"rho": matrix_to_obj(r), "sigma": matrix_to_obj(s)} for r, s in pairs]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def read_instance_file(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}")
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "pairs" not in doc or not isinstance(doc["pairs"], list):
         raise ValueError(f"{path}: instance file needs a top-level 'pairs' list")
     pairs = []
@@ -122,32 +133,18 @@ def read_instance_file(path) -> list[tuple[np.ndarray, np.ndarray]]:
 # run plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunSpec:
-    """Everything one command invocation needs."""
-
-    command: str
-    n: int = 10
-    seed: int = 0
-    pairs: int = 1
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    input_path: str | None = None
-    out_dir: str = "."
-    circuit: str | None = None
-    force_degenerate: bool = False
-
-
 def resolve_seed(flag_value: int | None) -> int:
-    """Flag beats the POLARCHAN_SEED environment variable beats 0."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("POLARCHAN_SEED")
-    if env is not None:
+    """Flag beats the POLARCHAN_SEED environment variable beats 0; a seed is nonnegative."""
+    source, seed = "--seed", flag_value
+    if seed is None:
+        source, env = "POLARCHAN_SEED", os.environ.get("POLARCHAN_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"POLARCHAN_SEED must be an integer, got {env!r}")
-    return 0
+    if seed < 0:
+        raise ValueError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 def _child_seeds(seed: int, count: int) -> list[int]:
@@ -185,10 +182,6 @@ def _write_trace(path, trace: IterationTrace) -> None:
             fh.write(f"{it},{obj!r},{step_norm!r},{res!r}\n")
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-
-
 def _phase_invariant_diff(u, uprime) -> float:
     try:
         return normalized_diff(u, uprime, pivot="entry11")
@@ -200,20 +193,14 @@ def _phase_invariant_diff(u, uprime) -> float:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(spec: RunSpec) -> int:
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        if spec.input_path:
-            instance = ChannelInstance(read_instance_file(spec.input_path))
-        else:
-            _, instance = generate_exact_instance(spec.n, spec.pairs, spec.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_solve(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+    if args.input_path:
+        instance = ChannelInstance(read_instance_file(args.input_path))
+    else:
+        _, instance = generate_exact_instance(args.n, args.pairs, args.seed)
 
     t0 = time.perf_counter()
-    result = solve(instance, spec.solver)
+    result = solve(instance, solver)
     wall = time.perf_counter() - t0
     _write_trace(out / "trace.csv", result.trace)
 
@@ -242,28 +229,21 @@ def _reconstruct_once(hidden, rho0, solver):
     return report, diff
 
 
-def cmd_reconstruct(spec: RunSpec) -> int:
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        if spec.circuit == "example2":
-            hidden = build_example2_circuit()
-        elif spec.input_path:
-            hidden = read_matrix_file(spec.input_path)
-            if unitarity_defect(hidden) > 1e-10:
-                raise ValueError("hidden channel matrix is not unitary within 1e-10")
-        else:
-            raise ValueError("reconstruct needs --in <matrix.json> or --circuit example2")
-        n = hidden.shape[0]
-        if spec.force_degenerate:
-            rho0 = np.eye(n, dtype=np.complex128) / n
-        else:
-            rho0 = random_density(n, spec.seed)
-        report, diff = _reconstruct_once(hidden, rho0, spec.solver)
-    except (OSError, ValueError, ReconstructionError, RuntimeError) as exc:
-        # DegenerateStateError lands here too; its message carries the diagnostic
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_reconstruct(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+    if args.circuit == "example2":
+        hidden = build_example2_circuit()
+    elif args.input_path:
+        hidden = read_matrix_file(args.input_path)
+        if unitarity_defect(hidden) > 1e-10:
+            raise ValueError("hidden channel matrix is not unitary within 1e-10")
+    else:
+        raise ValueError("reconstruct needs --in <matrix.json> or --circuit example2")
+    n = hidden.shape[0]
+    if args.force_degenerate:
+        rho0 = np.eye(n, dtype=np.complex128) / n
+    else:
+        rho0 = random_density(n, args.seed)
+    report, diff = _reconstruct_once(hidden, rho0, solver)
 
     doc = {
         "u0": matrix_to_obj(report.u0),
@@ -285,32 +265,26 @@ def cmd_reconstruct(spec: RunSpec) -> int:
     return 0
 
 
-def cmd_repro_ex1(spec: RunSpec) -> int:
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = _child_seeds(spec.seed, 2)
+def cmd_repro_ex1(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+    seeds = _child_seeds(args.seed, 2)
     summary = {}
-    try:
-        for name, n_pairs, child in (("single", 1, seeds[0]), ("multi", 20, seeds[1])):
-            _, instance = generate_exact_instance(10, n_pairs, child)
-            result = solve(instance, spec.solver)
-            _write_trace(out / f"ex1_{name}_trace.csv", result.trace)
-            summary[name] = {
-                "pairs": n_pairs,
-                "status": result.status,
-                "iterations": len(result.trace) - 1,
-                "final_objective": float(result.trace.objective[-1]),
-                "final_step_norm": float(result.trace.step_norm[-1]),
-                "monotone_violations": result.trace.monotone_violations(),
-            }
-            print(
-                f"repro-ex1 {name}: {result.status}, final objective "
-                f"{summary[name]['final_objective']:.3e}, "
-                f"monotone violations {summary[name]['monotone_violations']}"
-            )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for name, n_pairs, child in (("single", 1, seeds[0]), ("multi", 20, seeds[1])):
+        _, instance = generate_exact_instance(10, n_pairs, child)
+        result = solve(instance, solver)
+        _write_trace(out / f"ex1_{name}_trace.csv", result.trace)
+        summary[name] = {
+            "pairs": n_pairs,
+            "status": result.status,
+            "iterations": len(result.trace) - 1,
+            "final_objective": float(result.trace.objective[-1]),
+            "final_step_norm": float(result.trace.step_norm[-1]),
+            "monotone_violations": result.trace.monotone_violations(),
+        }
+        print(
+            f"repro-ex1 {name}: {result.status}, final objective "
+            f"{summary[name]['final_objective']:.3e}, "
+            f"monotone violations {summary[name]['monotone_violations']}"
+        )
     _write_json(out / "ex1_summary.json", summary)
     return 0
 
@@ -340,15 +314,9 @@ def _ex2_run(k: int, base_seed: int, solver: SolverConfig):
     raise ReconstructionError(f"run {k}: no candidate probe state converged: {last_exc}")
 
 
-def cmd_repro_ex2(spec: RunSpec) -> int:
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    run_seeds = _child_seeds(spec.seed, EX2_RUNS)
-    try:
-        results = [_ex2_run(k, run_seeds[k], spec.solver) for k in range(EX2_RUNS)]
-    except (ValueError, ReconstructionError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_repro_ex2(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+    run_seeds = _child_seeds(args.seed, EX2_RUNS)
+    results = [_ex2_run(k, run_seeds[k], solver) for k in range(EX2_RUNS)]
 
     with open(out / "ex2_diffs.csv", "w", encoding="utf-8") as fh:
         fh.write("run,seed,normalized_diff\n")
@@ -377,13 +345,23 @@ def cmd_repro_ex2(spec: RunSpec) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, run, help: str, **solver_base) -> argparse.ArgumentParser:
+    """Register one command with the shared flags; ``solver_base`` holds the
+    ``SolverConfig`` fields that differ from its defaults, which flags override."""
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("--seed", type=int, default=None, help="seed (default: POLARCHAN_SEED or 0)")
+    sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--max-iters", type=int, default=None, help="iteration cap")
     sp.add_argument("--tol", type=float, default=None, help="objective termination threshold")
     sp.add_argument("--stall-tol", type=float, default=None, help="update-norm stall threshold")
     sp.add_argument(
         "--init", choices=("identity", "random"), default=None, help="solver start point"
     )
+    sp.set_defaults(run=run, **solver_base)
+    return sp
+
+
+_SOLVER_FLAGS = ("max_iters", "tol", "stall_tol", "init")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,83 +374,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="run the fixed-point solver on one instance")
+    sp = _add_command(sub, "solve", cmd_solve, "run the fixed-point solver on one instance")
     sp.add_argument("--n", type=int, default=10, help="matrix dimension for generated instances")
-    sp.add_argument("--seed", type=int, default=None, help="seed (default: POLARCHAN_SEED or 0)")
     sp.add_argument("--pairs", type=int, default=1, help="number of generated state pairs")
     sp.add_argument("--in", dest="input_path", default=None, help="instance JSON file")
-    sp.add_argument("--out", default=".", help="output directory")
-    _add_solver_flags(sp)
 
-    sp = sub.add_parser("reconstruct", help="recover a hidden channel within the query budget")
-    sp.add_argument("--seed", type=int, default=None, help="seed for the probe state")
+    sp = _add_command(
+        sub, "reconstruct", cmd_reconstruct, "recover a hidden channel within the query budget",
+        tol=RECONSTRUCT_TOL,
+    )
     sp.add_argument("--in", dest="input_path", default=None, help="hidden unitary matrix JSON file")
     sp.add_argument("--circuit", choices=("example2",), default=None, help="built-in hidden circuit")
-    sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument(
         "--force-degenerate",
         action="store_true",
         help="probe with a fully degenerate state (error-path check)",
     )
-    _add_solver_flags(sp)
 
-    sp = sub.add_parser("repro-ex1", help="single-pair and 20-pair n=10 solver traces")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=".")
-    _add_solver_flags(sp)
-
-    sp = sub.add_parser("repro-ex2", help="20 reconstructions of the 8x8 benchmark circuit")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=".")
-    _add_solver_flags(sp)
-
-    return p
-
-
-_SOLVER_BASES = {
-    "solve": {},
-    # reconstruction keeps ~4 digits of phase headroom below the solve default
-    "reconstruct": {"tol": 1e-28},
     # canned experiment setups: fixed iteration caps, tol well below the caps' reach
-    "repro-ex1": {"max_iters": 1000, "tol": 1e-30},
-    "repro-ex2": {"tol": 1e-28, "max_iters": 2000},
-}
-
-
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    base = dict(_SOLVER_BASES[args.command])
-    for key, attr in (("max_iters", "max_iters"), ("tol", "tol"), ("stall_tol", "stall_tol"), ("init", "init")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            base[key] = value
-    solver = SolverConfig(**base)
-    return RunSpec(
-        command=args.command,
-        n=getattr(args, "n", 10),
-        seed=resolve_seed(getattr(args, "seed", None)),
-        pairs=getattr(args, "pairs", 1),
-        solver=solver,
-        input_path=getattr(args, "input_path", None),
-        out_dir=getattr(args, "out", "."),
-        circuit=getattr(args, "circuit", None),
-        force_degenerate=getattr(args, "force_degenerate", False),
+    _add_command(
+        sub, "repro-ex1", cmd_repro_ex1, "single-pair and 20-pair n=10 solver traces",
+        max_iters=1000, tol=1e-30,
     )
+    _add_command(
+        sub, "repro-ex2", cmd_repro_ex2, "20 reconstructions of the 8x8 benchmark circuit",
+        max_iters=2000, tol=RECONSTRUCT_TOL,
+    )
+    return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = _spec_from_args(args)
-    except ValueError as exc:
+        solver = SolverConfig(
+            **{k: getattr(args, k) for k in _SOLVER_FLAGS if getattr(args, k) is not None}
+        )
+        args.seed = resolve_seed(args.seed)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.run(args, solver, out)
+    except (OSError, ValueError, RuntimeError) as exc:
+        # typed library errors land here too: DegenerateStateError is a
+        # ValueError and ReconstructionError a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    dispatch = {
-        "solve": cmd_solve,
-        "reconstruct": cmd_reconstruct,
-        "repro-ex1": cmd_repro_ex1,
-        "repro-ex2": cmd_repro_ex2,
-    }
-    return dispatch[spec.command](spec)
 
 
 if __name__ == "__main__":

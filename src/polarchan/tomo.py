@@ -35,6 +35,8 @@ __all__ = [
 EIGENGAP_FLOOR = 1e-8
 # Extracted phase products must be unimodular to this tolerance.
 ALPHA_UNIT_TOL = 1e-3
+# reconstruct's solver tolerance: ~4 digits of phase headroom below the solve default.
+RECONSTRUCT_TOL = 1e-28
 
 
 class DegenerateStateError(ValueError):
@@ -282,8 +284,9 @@ def reconstruct(
     unitary up to a global phase and is checked against the channel on five
     random test states via direct evaluation (not counted).
 
-    ``solver_config`` defaults to a tighter tolerance than the solver's own
-    default so phase extraction retains roughly four digits of headroom.
+    ``solver_config`` defaults to ``SolverConfig(tol=RECONSTRUCT_TOL)``, a
+    tighter tolerance than the solver's own default so phase extraction
+    retains roughly four digits of headroom.
     """
     n = oracle.dim
     rho0 = square(rho0)
@@ -309,7 +312,7 @@ def reconstruct(
     start = oracle.queries
     sigma0 = state_tomography(oracle, rho0)
     tomography_queries = oracle.queries - start
-    cfg = solver_config if solver_config is not None else SolverConfig(tol=1e-28)
+    cfg = solver_config if solver_config is not None else SolverConfig(tol=RECONSTRUCT_TOL)
     result = solve(ChannelInstance([(rho0, sigma0)]), cfg)
     if result.status == STATUS_MAX_ITERS:
         raise ReconstructionError(

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from polarchan.harness import (
     build_example2_circuit,
+    build_parser,
     gate_library,
     generate_exact_instance,
     main,
@@ -18,6 +19,7 @@ from polarchan.harness import (
 )
 from polarchan.matkit import kron, random_density, random_unitary, unitarity_defect
 from polarchan.search import SolverConfig, solve
+from polarchan.tomo import RECONSTRUCT_TOL, ChannelOracle, reconstruct
 
 
 class TestCircuitAndGates:
@@ -64,6 +66,11 @@ class TestMatrixFiles:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             matrix_from_obj({"n": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+
+    @pytest.mark.parametrize("n", [None, [2], "2", 2.5, True])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            matrix_from_obj({"n": n, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -157,9 +164,11 @@ class TestCmdSolve:
         assert main(["solve", "--n", "4", "--seed", "21", "--out", str(other)]) == 0
         assert (flagged / "trace.csv").read_bytes() == (other / "trace.csv").read_bytes()
 
-    def test_bad_env_seed_exits_1(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POLARCHAN_SEED", "not-a-number")
-        assert main(["solve", "--n", "4", "--out", str(tmp_path / "o")]) == 1
+    def test_bad_env_seed_exits_1(self, tmp_path, monkeypatch, capsys):
+        for env in ("not-a-number", "-1"):
+            monkeypatch.setenv("POLARCHAN_SEED", env)
+            assert main(["solve", "--n", "4", "--out", str(tmp_path / "o")]) == 1, env
+            assert capsys.readouterr().err.startswith("error: POLARCHAN_SEED must be"), env
 
 
 class TestCmdReconstruct:
@@ -201,27 +210,73 @@ class TestCmdReconstruct:
             assert main(["reconstruct", "--circuit", "example2", "--seed", "8", "--out", str(out)]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_cli_matches_library_default_config(self, tmp_path):
+        # the CLI's reconstruct base and the library default share one tolerance
+        out = tmp_path / "run"
+        assert main(["reconstruct", "--circuit", "example2", "--seed", "8", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        lib = reconstruct(ChannelOracle(build_example2_circuit()), random_density(8, 8))
+        assert doc["u0"] == matrix_to_obj(lib.u0)
+        assert doc["u_recovered"] == matrix_to_obj(lib.u_recovered)
+        for command in ("reconstruct", "repro-ex2"):
+            assert build_parser().parse_args([command]).tol == RECONSTRUCT_TOL, command
+
+
+class TestCliSurface:
+    def test_option_strings_per_command(self):
+        shared = {"-h", "--help", "--seed", "--out", "--max-iters", "--tol", "--stall-tol", "--init"}
+        expected = {
+            "solve": shared | {"--n", "--pairs", "--in"},
+            "reconstruct": shared | {"--in", "--circuit", "--force-degenerate"},
+            "repro-ex1": shared,
+            "repro-ex2": shared,
+        }
+        commands = build_parser()._subparsers._group_actions[0].choices
+        actual = {
+            name: {opt for action in sp._actions for opt in action.option_strings}
+            for name, sp in commands.items()
+        }
+        assert actual == expected
+
 
 class TestExitCodeTable:
-    def test_contract(self, tmp_path):
+    def test_contract(self, tmp_path, capsys):
         rho = random_density(3, 1)
         ok_inst = tmp_path / "ok.json"
         write_instance_file(ok_inst, [(rho, rho)])
         bad_inst = tmp_path / "bad.json"
         bad_inst.write_text("{not json")
+        null_n = tmp_path / "null_n.json"
+        null_pair = {"rho": {**matrix_to_obj(rho), "n": None}, "sigma": matrix_to_obj(rho)}
+        null_n.write_text(json.dumps({"pairs": [null_pair]}))
         id_mat = tmp_path / "id.json"
         write_matrix_file(id_mat, np.eye(3, dtype=complex))
+        below_file = str(id_mat / "sub")
         table = [
             (["solve", "--in", str(ok_inst)], 0),
             (["solve", "--in", str(bad_inst)], 1),
+            (["solve", "--in", str(null_n)], 1),
             (["solve", "--n", "6", "--seed", "0", "--max-iters", "2", "--tol", "1e-30"], 2),
+            (["solve", "--n", "4", "--seed", "-1"], 1),
+            (["solve", "--n", "4", "--out", below_file], 1),
             (["reconstruct", "--in", str(id_mat), "--seed", "1"], 0),
             (["reconstruct", "--in", str(bad_inst)], 1),
             (["reconstruct", "--circuit", "example2", "--force-degenerate"], 1),
+            (["reconstruct", "--circuit", "example2", "--out", below_file], 1),
+            (["repro-ex1", "--seed", "-1"], 1),
+            (["repro-ex2", "--seed", "-1"], 1),
         ]
         for k, (argv, expected) in enumerate(table):
-            out = tmp_path / f"run{k}"
-            assert main(argv + ["--out", str(out)]) == expected, argv
+            if "--out" not in argv:
+                argv = argv + ["--out", str(tmp_path / f"run{k}")]
+            assert main(argv) == expected, argv
+            err = capsys.readouterr().err
+            if expected == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    def test_negative_flag_seed_names_its_source(self, tmp_path, capsys):
+        assert main(["repro-ex1", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
 
 
 class TestReproCommands:
