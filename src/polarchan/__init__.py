@@ -23,11 +23,9 @@ from .matkit import (
     frob_norm,
     herm_part,
     hermitian_eig,
-    kron,
     poldec,
     random_density,
     random_unitary,
-    real_inner,
     skew_part,
     tangent_project,
     unitarity_defect,
@@ -49,12 +47,9 @@ from .search import (
 from .tomo import (
     ChannelOracle,
     DegenerateStateError,
-    Observable,
     ReconstructionError,
     ReconstructionReport,
-    basis_observables,
     extract_phase_product,
-    measure,
     probe_states,
     reconstruct,
     state_tomography,

@@ -39,17 +39,8 @@ EX2_RUNS = 20
 
 
 # ---------------------------------------------------------------------------
-# circuit and gates
+# circuit
 # ---------------------------------------------------------------------------
-
-def gate_library() -> dict[str, np.ndarray]:
-    """Hadamard, CNOT, and the 2x2 identity as complex matrices."""
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    cnot = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-    )
-    return {"H": h, "CNOT": cnot, "I": np.eye(2, dtype=np.complex128)}
-
 
 def build_example2_circuit() -> np.ndarray:
     """The 8x8 three-qubit benchmark circuit; every entry is 0 or +-1/2."""

@@ -17,7 +17,6 @@ __all__ = [
     "square",
     "unitarity_defect",
     "frob_norm",
-    "real_inner",
     "herm_part",
     "skew_part",
     "tangent_project",
@@ -25,7 +24,6 @@ __all__ = [
     "poldec",
     "random_unitary",
     "random_density",
-    "kron",
 ]
 
 # Diagonal shift keeping random densities strictly positive definite.
@@ -49,15 +47,6 @@ def unitarity_defect(u) -> float:
 def frob_norm(a) -> float:
     """Frobenius norm (sum of |a_ij|^2)^(1/2)."""
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def real_inner(a, b) -> float:
-    """Real inner product Re(tr(A* B)) of two same-shape matrices."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.real(np.vdot(a, b)))
 
 
 def herm_part(a) -> np.ndarray:
@@ -158,7 +147,3 @@ def random_density(n: int, seed: int) -> np.ndarray:
     m = herm_part(m)
     return m / np.real(np.trace(m))
 
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with complex128 output."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))

@@ -7,11 +7,12 @@ and never increases the single-pair objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import _check_hermitian, frob_norm, poldec, random_unitary, skew_part, square
+from .matkit import _check_hermitian, frob_norm, random_unitary, skew_part, square
 
 __all__ = [
     "ChannelInstance",
@@ -89,10 +90,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.stall_tol < 0:
-            raise ValueError("stall_tol must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not (math.isfinite(self.stall_tol) and self.stall_tol >= 0):
+            raise ValueError(f"stall_tol must be finite and nonnegative, got {self.stall_tol}")
         if self.init not in ("identity", "random"):
             raise ValueError(f"init must be 'identity' or 'random', got {self.init!r}")
 
@@ -153,6 +154,13 @@ def _total_objective(u, pairs) -> float:
     return float(total)
 
 
+def _polar_update(m) -> tuple[np.ndarray, bool]:
+    """The unitary polar factor of m, and whether m is (numerically) singular."""
+    w, svals, vh = np.linalg.svd(m)
+    singular = bool(svals[0] == 0.0 or svals[-1] <= svals[0] * _SINGULAR_RTOL)
+    return w @ vh, singular
+
+
 def _residual(u, m) -> float:
     """||skew(U* m)||_F for the summed negative gradient m at U."""
     return frob_norm(skew_part(u.conj().T @ m))
@@ -181,7 +189,7 @@ def residual(u, pairs) -> float:
 def step(u, pairs) -> np.ndarray:
     """One fixed-point update: the unitary polar factor of sum_i 2 sigma_i U rho_i."""
     u = square(u)
-    return poldec(_grad_sum(u, _pair_list(pairs))).unitary
+    return _polar_update(_grad_sum(u, _pair_list(pairs)))[0]
 
 
 def solve(instance, config: SolverConfig | None = None) -> SolveResult:
@@ -214,10 +222,8 @@ def solve(instance, config: SolverConfig | None = None) -> SolveResult:
         status = STATUS_CONVERGED_TOL
     else:
         for _ in range(cfg.max_iters):
-            w, svals, vh = np.linalg.svd(m)
-            if svals[0] == 0.0 or svals[-1] <= svals[0] * _SINGULAR_RTOL:
-                singular += 1
-            u_next = w @ vh
+            u_next, is_singular = _polar_update(m)
+            singular += is_singular
             dnorm = frob_norm(u_next - u)
             u = u_next
             m = _grad_sum(u, pairs)  # reused for the residual and the next update

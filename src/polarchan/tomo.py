@@ -2,9 +2,11 @@
 
 The oracle hides a unitary U and answers expectation queries
 Re tr(Phi(state) observable) against the channel Phi(rho) = U rho U*,
-counting every query. A full reconstruction spends n^2+n queries on state
-tomography of one output state plus 2(n-1) queries on diagonal-phase
-extraction, staying under the n^2+3n ceiling.
+counting every query. ``ChannelOracle.expectation`` is the only measurement
+primitive: state tomography and phase extraction both call it directly. A
+full reconstruction spends n^2+n queries on state tomography of one output
+state plus 2(n-1) queries on diagonal-phase extraction, staying under the
+n^2+3n ceiling.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult
 
 __all__ = [
     "ChannelOracle",
-    "Observable",
     "ReconstructionReport",
     "DegenerateStateError",
     "ReconstructionError",
-    "basis_observables",
-    "measure",
     "state_tomography",
     "probe_states",
     "extract_phase_product",
@@ -103,14 +102,6 @@ class ChannelOracle:
         return float(np.real(np.vdot(obs.T.conj(), out)))
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian measurement operator with a bookkeeping label."""
-
-    matrix: np.ndarray
-    label: str
-
-
 def _e_plus(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=np.complex128)
     m[i, j] += 0.5
@@ -124,36 +115,6 @@ def _e_minus(n: int, i: int, j: int) -> np.ndarray:
         m[i, j] = -0.5j
         m[j, i] = 0.5j
     return m
-
-
-def basis_observables(n: int) -> list[Observable]:
-    """The n^2+n state-tomography observables.
-
-    For every index pair i <= j in row-major order: first all symmetric
-    combinations (e_i e_j^T + e_j e_i^T)/2, then all antisymmetric ones
-    (e_i e_j^T - e_j e_i^T)/2i. The diagonal antisymmetric operators are zero
-    matrices; they are kept so the list length matches the n^2+n measurement
-    count of the per-entry protocol.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            out.append(Observable(_e_plus(n, i, j), f"E+_{i}_{j}"))
-    for i in range(n):
-        for j in range(i, n):
-            out.append(Observable(_e_minus(n, i, j), f"E-_{i}_{j}"))
-    return out
-
-
-def measure(oracle: ChannelOracle, input_state, obs: Observable) -> float:
-    """Expectation of one observable on the channel output for input_state.
-
-    Real because both the output state and the observable are Hermitian;
-    costs exactly one budget unit.
-    """
-    return oracle.expectation(input_state, obs.matrix)
 
 
 def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
@@ -189,18 +150,21 @@ def probe_states(v, p: int, q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     which is harmless because the simulated channel is linear on Hermitian
     matrices.
     """
-    v = square(v)
-    n = v.shape[0]
-    if len({p, q, r}) != 3:
-        raise ValueError(f"probe indices must be pairwise distinct, got ({p}, {q}, {r})")
-    for idx in (p, q, r):
-        if not 0 <= idx < n:
-            raise ValueError(f"probe index {idx} out of range for dimension {n}")
-    return _probes(v, p, q, r)
+    return _probes(square(v), p, q, r)
 
 
 def _probes(v, p: int, q: int, r: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The probe_states pair, anchored on column r unless r is None."""
+    """The probe_states pair, anchored on column r unless r is None.
+
+    The indices (p, q and r when given) must be pairwise distinct columns of v.
+    """
+    n = v.shape[0]
+    idx = (p, q) if r is None else (p, q, r)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"probe indices must be pairwise distinct, got {idx}")
+    for k in idx:
+        if not 0 <= k < n:
+            raise ValueError(f"probe index {k} out of range for dimension {n}")
     cross = np.outer(v[:, p], v[:, q].conj())
     plus = 0.5 * (cross + cross.conj().T)
     minus = (cross - cross.conj().T) / 2j
@@ -219,29 +183,22 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int, r: int |
     of the two probes onto w = u0 (v_p + v_q)/sqrt(2) reads off Re(alpha)/2
     and Im(alpha)/2. The anchor column v_r (r distinct from p and q, smallest
     such index by default) keeps the probes unit-trace and contributes nothing
-    to either expectation; at n == 2 no third index exists and the anchor is
-    dropped, which leaves the extracted value unchanged.
+    to either expectation; at n == 2 no third index exists, so the anchor is
+    dropped (which leaves the extracted value unchanged) and an explicit r
+    raises ValueError.
     """
     u0 = square(u0)
     v = square(v)
     n = v.shape[0]
     if u0.shape != v.shape:
         raise ValueError("u0 and v must have the same shape")
-    if p == q:
-        raise ValueError("phase-product indices must differ")
-    for idx in (p, q):
-        if not 0 <= idx < n:
-            raise ValueError(f"index {idx} out of range for dimension {n}")
-    if n >= 3:
-        if r is None:
-            r = min(k for k in range(n) if k not in (p, q))
-        plus, minus = probe_states(v, p, q, r)
-    else:
-        plus, minus = _probes(v, p, q, None)
+    if r is None and n >= 3:
+        r = min(k for k in range(n) if k not in (p, q))
+    plus, minus = _probes(v, p, q, r)
     w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
-    proj = Observable(np.outer(w, w.conj()), "probe")
-    m_plus = measure(oracle, plus, proj)
-    m_minus = measure(oracle, minus, proj)
+    proj = np.outer(w, w.conj())
+    m_plus = oracle.expectation(plus, proj)
+    m_minus = oracle.expectation(minus, proj)
     alpha = complex(2.0 * (m_plus + 1j * m_minus))
     if abs(abs(alpha) - 1.0) > ALPHA_UNIT_TOL:
         raise ReconstructionError(

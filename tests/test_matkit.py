@@ -7,11 +7,9 @@ from polarchan.matkit import (
     frob_norm,
     herm_part,
     hermitian_eig,
-    kron,
     poldec,
     random_density,
     random_unitary,
-    real_inner,
     skew_part,
     tangent_project,
     unitarity_defect,
@@ -31,30 +29,6 @@ class TestFrobNorm:
 
     def test_diag_3_4(self):
         assert_allclose(frob_norm(np.diag([3.0, 4.0])), 5.0, rtol=0, atol=1e-15)
-
-
-class TestRealInner:
-    def test_identity_pair(self):
-        assert_allclose(real_inner(np.eye(2), np.eye(2)), 2.0)
-
-    def test_self_inner_is_squared_norm(self):
-        rng = np.random.default_rng(0)
-        a = _rand_complex(rng, 5)
-        assert_allclose(real_inner(a, a), frob_norm(a) ** 2, rtol=1e-14)
-
-    def test_pure_imaginary(self):
-        assert_allclose(real_inner([[1j]], [[1.0]]), 0.0, atol=1e-16)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            real_inner(np.eye(2), np.eye(3))
-
-    def test_symmetry_for_hermitian(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = herm_part(_rand_complex(rng, 4))
-            b = herm_part(_rand_complex(rng, 4))
-            assert_allclose(real_inner(a, b), real_inner(b, a), rtol=1e-13)
 
 
 class TestHermSkewSplit:
@@ -242,19 +216,6 @@ class TestRandomDensity:
 
     def test_deterministic(self):
         assert np.array_equal(random_density(4, 9), random_density(4, 9))
-
-
-class TestKron:
-    def test_identity(self):
-        assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-
-    def test_diag(self):
-        assert_allclose(kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0]), atol=0)
-
-    def test_hadamard_pair(self):
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        hh = kron(h, h)
-        assert_allclose(np.abs(hh), 0.5, atol=1e-15)
 
 
 def test_square_rejects_nonsquare():

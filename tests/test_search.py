@@ -237,5 +237,10 @@ class TestSolverConfig:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(stall_tol=-1.0)
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError):
+                SolverConfig(tol=float(bad))
+            with pytest.raises(ValueError):
+                SolverConfig(stall_tol=float(bad))
         with pytest.raises(ValueError):
             SolverConfig(init="cayley")

@@ -16,11 +16,8 @@ from polarchan.tomo import (
     ALPHA_UNIT_TOL,
     ChannelOracle,
     DegenerateStateError,
-    Observable,
     ReconstructionError,
-    basis_observables,
     extract_phase_product,
-    measure,
     probe_states,
     reconstruct,
     state_tomography,
@@ -31,6 +28,18 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 def class_member(u, v, d):
     return u @ (v * d[np.newaxis, :]) @ v.conj().T
+
+
+class RecordingOracle(ChannelOracle):
+    """A ChannelOracle that keeps a copy of every observable it is queried with."""
+
+    def __init__(self, hidden_u):
+        super().__init__(hidden_u)
+        self.observables = []
+
+    def expectation(self, state, observable):
+        self.observables.append(np.array(observable))
+        return super().expectation(state, observable)
 
 
 class TestChannelOracle:
@@ -113,47 +122,6 @@ class TestChannelOracle:
         assert np.array_equal(out_a2, out_a)
 
 
-class TestBasisObservables:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_count(self, n):
-        assert len(basis_observables(n)) == n * n + n
-
-    def test_n2_has_six(self):
-        assert len(basis_observables(2)) == 6
-
-    def test_first_observable_n1(self):
-        obs = basis_observables(1)
-        assert_allclose(obs[0].matrix, [[1.0]], atol=0)
-
-    def test_all_hermitian(self):
-        for ob in basis_observables(4):
-            assert frob_norm(ob.matrix - ob.matrix.conj().T) < 1e-12
-
-    def test_labels_deterministic(self):
-        labels = [ob.label for ob in basis_observables(2)]
-        assert labels == ["E+_0_0", "E+_0_1", "E+_1_1", "E-_0_0", "E-_0_1", "E-_1_1"]
-
-
-class TestMeasure:
-    def test_identity_channel_diagonal_observable(self):
-        n = 4
-        oracle = ChannelOracle(np.eye(n))
-        obs = basis_observables(n)[0]  # E+_0_0
-        val = measure(oracle, np.eye(n) / n, obs)
-        assert_allclose(val, 1.0 / n, atol=1e-15)
-        assert oracle.queries == 1
-
-    def test_value_is_real_part_of_trace(self):
-        u = random_unitary(3, 11)
-        oracle = ChannelOracle(u)
-        rho = random_density(3, 12)
-        obs = herm_part(random_density(3, 13))
-        out = u @ rho @ u.conj().T
-        tr = np.trace(out @ obs)
-        assert abs(tr.imag) < 1e-12
-        assert_allclose(measure(oracle, rho, Observable(obs, "probe")), tr.real, atol=1e-14)
-
-
 class TestStateTomography:
     def test_identity_channel(self):
         oracle = ChannelOracle(np.eye(2))
@@ -176,6 +144,16 @@ class TestStateTomography:
         assert oracle.queries - before == n * n + n
         assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12
         assert frob_norm(out - out.conj().T) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_observables_sent(self, n):
+        oracle = RecordingOracle(random_unitary(n, 50 + n))
+        state_tomography(oracle, random_density(n, 51 + n))
+        sent = oracle.observables
+        assert len(sent) == oracle.queries == n * n + n
+        assert all(np.array_equal(m, m.conj().T) for m in sent)
+        # the diagonal antisymmetric observables are zero but still counted
+        assert sum(not m.any() for m in sent) == n
 
     def test_probe_linearity(self):
         # oracle expectation on a probe equals the same functional on the
@@ -279,6 +257,17 @@ class TestExtractPhaseProduct:
         oracle = ChannelOracle(random_unitary(4, 39))
         with pytest.raises(ReconstructionError):
             extract_phase_product(oracle, random_unitary(4, 40), v, 0, 1)
+
+    @pytest.mark.parametrize(
+        "n, p, q, r",
+        [(2, 0, 1, 1), (2, 0, 1, 0), (3, 0, 3, None), (3, -1, 1, None), (3, 0, 1, 3), (3, 0, 1, 1)],
+    )
+    def test_bad_indices_rejected(self, n, p, q, r):
+        # at n == 2 no anchor fits, so an explicit r is rejected too
+        oracle = ChannelOracle(np.eye(n))
+        with pytest.raises(ValueError):
+            extract_phase_product(oracle, np.eye(n), np.eye(n), p, q, r)
+        assert oracle.queries == 0
 
     def test_equal_indices_rejected(self):
         v = np.eye(3)
