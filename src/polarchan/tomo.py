@@ -3,14 +3,18 @@
 The oracle hides a unitary U and answers expectation queries
 Re tr(Phi(state) observable) against the channel Phi(rho) = U rho U*,
 counting every query. ``ChannelOracle.expectation`` is the only measurement
-primitive: state tomography and phase extraction both call it directly. A
-full reconstruction spends n^2+n queries on state tomography of one output
-state plus 2(n-1) queries on diagonal-phase extraction, staying under the
-n^2+3n ceiling.
+primitive: state tomography and phase extraction both call it directly.
+An observable goes in as a dense matrix or as its nonzero entries
+(rows, cols, weights); tomography sends each of its E+/E- observables as
+its two entries, so a query reads two entries of the channel output, and
+phase extraction sends a dense projector. A full reconstruction spends
+n^2+n queries on state tomography of one output state plus 2(n-1) queries
+on diagonal-phase extraction, staying under the n^2+3n ceiling.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -90,31 +94,36 @@ class ChannelOracle:
         self._last = (key, out)
         return out.copy()
 
-    def expectation(self, state, observable) -> float:
-        """One measurement: Re tr(Phi(state) observable)."""
-        out = self.apply(state)
-        obs = square(observable)
-        if obs.shape != out.shape:
-            raise ValueError(f"observable is {obs.shape}, channel dimension is {self.dim}")
+    def expectation(self, state, observable=None, *, entries=None) -> float:
+        """One measurement: Re tr(Phi(state) observable).
+
+        Give the observable either as a matrix or as its nonzero entries,
+        ``entries=(rows, cols, weights)`` with observable[rows[k], cols[k]] =
+        weights[k] (repeated positions add); the entries form reads only
+        those entries of Phi(state). Exactly one of the two forms is allowed,
+        and both are checked before the query is counted.
+        """
+        if (observable is None) == (entries is None):
+            raise ValueError("give exactly one of observable and entries")
+        if entries is None:
+            out = self.apply(state)
+            obs = square(observable)
+            if obs.shape != out.shape:
+                raise ValueError(f"observable is {obs.shape}, channel dimension is {self.dim}")
+            # sum_ij out_ij obs_ji, without forming the product
+            value = np.vdot(obs.T.conj(), out)
+        else:
+            rows, cols, weights = entries
+            if not len(rows) == len(cols) == len(weights):
+                raise ValueError("entries need rows, cols and weights of equal length")
+            for k in (*rows, *cols):
+                if not 0 <= operator.index(k) < self.dim:
+                    raise ValueError(f"entry index {k} out of range for dimension {self.dim}")
+            out = self.apply(state)
+            value = sum(out[c, r] * w for r, c, w in zip(rows, cols, weights))
         with self._lock:
             self._queries += 1
-        # sum_ij out_ij obs_ji, without forming the product
-        return float(np.real(np.vdot(obs.T.conj(), out)))
-
-
-def _e_plus(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[i, j] += 0.5
-    m[j, i] += 0.5
-    return m
-
-
-def _e_minus(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    if i != j:
-        m[i, j] = -0.5j
-        m[j, i] = 0.5j
-    return m
+        return float(np.real(value))
 
 
 def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
@@ -129,8 +138,8 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(i, n):
-            mp = oracle.expectation(input_state, _e_plus(n, i, j))
-            mm = oracle.expectation(input_state, _e_minus(n, i, j))
+            mp = oracle.expectation(input_state, entries=((i, j), (j, i), (0.5, 0.5)))
+            mm = oracle.expectation(input_state, entries=((i, j), (j, i), (-0.5j, 0.5j)))
             if i == j:
                 out[i, i] = mp
             else:

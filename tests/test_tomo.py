@@ -30,16 +30,31 @@ def class_member(u, v, d):
     return u @ (v * d[np.newaxis, :]) @ v.conj().T
 
 
+def dense_e_pm(n, i, j):
+    """Tomography's observables for entry (i, j) as dense matrices:
+    E+ = (E_ij + E_ji)/2 and E- = (E_ij - E_ji)/2i, which is zero on the diagonal."""
+    unit = np.zeros((n, n), dtype=np.complex128)
+    unit[i, j] = 1.0
+    return (unit + unit.T) / 2, (unit - unit.T) / 2j
+
+
+def densify(n, entries):
+    rows, cols, weights = entries
+    m = np.zeros((n, n), dtype=np.complex128)
+    np.add.at(m, (list(rows), list(cols)), weights)
+    return m
+
+
 class RecordingOracle(ChannelOracle):
-    """A ChannelOracle that keeps a copy of every observable it is queried with."""
+    """A ChannelOracle that keeps a dense copy of every observable it is queried with."""
 
     def __init__(self, hidden_u):
         super().__init__(hidden_u)
         self.observables = []
 
-    def expectation(self, state, observable):
-        self.observables.append(np.array(observable))
-        return super().expectation(state, observable)
+    def expectation(self, state, observable=None, *, entries=None):
+        self.observables.append(np.array(observable) if entries is None else densify(self.dim, entries))
+        return super().expectation(state, observable, entries=entries)
 
 
 class TestChannelOracle:
@@ -93,6 +108,51 @@ class TestChannelOracle:
         assert abs(oracle.expectation(s, obs) - direct) < 1e-14
         assert abs(oracle.expectation(s, obs) - direct) < 1e-14  # reused output
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_entries_match_dense_bitwise(self, n):
+        oracle = ChannelOracle(random_unitary(n, 30 + n))
+        rho = random_density(n, 31 + n)
+        via_entries, via_dense = [], []
+        for i in range(n):
+            for j in range(n):
+                e_plus, e_minus = dense_e_pm(n, i, j)
+                via_entries.append(oracle.expectation(rho, entries=((i, j), (j, i), (0.5, 0.5))))
+                via_entries.append(oracle.expectation(rho, entries=((i, j), (j, i), (-0.5j, 0.5j))))
+                via_dense.append(oracle.expectation(rho, e_plus))
+                via_dense.append(oracle.expectation(rho, e_minus))
+        assert np.array(via_entries).tobytes() == np.array(via_dense).tobytes()
+        assert oracle.queries == 4 * n * n
+
+    def test_entries_repeated_positions_add(self):
+        u = random_unitary(3, 32)
+        oracle = ChannelOracle(u)
+        rho = random_density(3, 33)
+        obs = np.zeros((3, 3), dtype=np.complex128)
+        obs[1, 2] = 0.75 - 0.25j
+        value = oracle.expectation(rho, entries=((1, 1), (2, 2), (1.0, -0.25 - 0.25j)))
+        assert_allclose(value, np.real(np.trace(u @ rho @ u.conj().T @ obs)), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"entries": ((-1,), (0,), (1.0,))},  # would wrap to the last row
+            {"entries": ((0,), (-3,), (1.0,))},
+            {"entries": ((0,), (3,), (1.0,))},
+            {"entries": ((3, 0), (0, 0), (0.5, 0.5))},
+            {"entries": ((0, 1), (1,), (0.5, 0.5))},
+            {"entries": ((0, 1), (1, 0), (0.5,))},
+            {"observable": np.eye(3), "entries": ((0,), (0,), (1.0,))},
+            {},
+        ],
+        ids=["negative-row", "negative-col", "col-too-large", "row-too-large",
+             "short-cols", "short-weights", "both-forms", "neither-form"],
+    )
+    def test_bad_entries_rejected_before_counting(self, kwargs):
+        oracle = ChannelOracle(random_unitary(3, 34))
+        with pytest.raises(ValueError):
+            oracle.expectation(random_density(3, 35), **kwargs)
+        assert oracle.queries == 0
+
     def test_apply_sees_input_mutated_in_place(self):
         u = random_unitary(4, 12)
         oracle = ChannelOracle(u)
@@ -144,6 +204,25 @@ class TestStateTomography:
         assert oracle.queries - before == n * n + n
         assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12
         assert frob_norm(out - out.conj().T) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_matches_dense_reference(self, n):
+        u = random_unitary(n, 40 + n)
+        rho = random_density(n, 41 + n)
+        oracle, reference_oracle = ChannelOracle(u), ChannelOracle(u)
+        expected = np.zeros((n, n), dtype=np.complex128)
+        for i in range(n):
+            for j in range(i, n):
+                e_plus, e_minus = dense_e_pm(n, i, j)
+                mp = reference_oracle.expectation(rho, e_plus)
+                mm = reference_oracle.expectation(rho, e_minus)
+                if i == j:
+                    expected[i, i] = mp
+                else:
+                    expected[i, j] = mp - 1j * mm
+                    expected[j, i] = mp + 1j * mm
+        assert state_tomography(oracle, rho).tobytes() == expected.tobytes()
+        assert oracle.queries == reference_oracle.queries == n * n + n
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_observables_sent(self, n):
