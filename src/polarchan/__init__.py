@@ -1,7 +1,7 @@
 """polarchan: unitary-channel identification from input/output state pairs.
 
 Modules:
-    matkit   -- complex linear algebra and unitary-group geometry
+    matkit   -- complex linear algebra and the polar decomposition
     search   -- objective, gradient, and the polar fixed-point solver
     equiv    -- phase-equivalence verifiers and normalized error metrics
     tomo     -- simulated measurements and budgeted channel reconstruction
@@ -10,9 +10,7 @@ Modules:
 
 from .equiv import (
     DiagonalRelation,
-    PhaseAlignment,
     PivotError,
-    global_phase_align,
     is_equiv_under,
     normalized_diff,
     relation_matrix,
@@ -27,7 +25,6 @@ from .matkit import (
     random_density,
     random_unitary,
     skew_part,
-    tangent_project,
     unitarity_defect,
 )
 from .search import (

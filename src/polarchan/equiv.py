@@ -2,8 +2,9 @@
 
 Two unitaries implement the same channel iff they differ by a global phase;
 solutions recovered from a single state pair agree up to a diagonal-phase
-conjugation in that state's eigenbasis. Both relations reduce to one matrix
-build plus norms here.
+conjugation in that state's eigenbasis. normalized_diff is the global-phase
+metric (it cancels the phase by pivot scaling); the diagonal-phase relation
+reduces to one matrix build plus norms.
 """
 
 from __future__ import annotations
@@ -15,27 +16,14 @@ import numpy as np
 from .matkit import frob_norm, square
 
 __all__ = [
-    "PhaseAlignment",
     "DiagonalRelation",
     "PivotError",
-    "global_phase_align",
     "relation_matrix",
     "is_equiv_under",
     "normalized_diff",
 ]
 
-# |tr(V*U)| below this is treated as a degenerate alignment (mu is forced to 1).
-DEGENERATE_TRACE_TOL = 1e-14
 PIVOT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PhaseAlignment:
-    """Best unimodular scalar aligning one unitary with another, and the gap left."""
-
-    mu: complex
-    distance: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -48,24 +36,6 @@ class DiagonalRelation:
 
 class PivotError(ValueError):
     """Pivot entry too small to normalize by; retry with pivot='max-modulus-entry'."""
-
-
-def global_phase_align(u, v) -> PhaseAlignment:
-    """Minimize ||U - mu V||_F over unimodular mu.
-
-    The minimizer is mu = tr(V*U)/|tr(V*U)|; when that trace (numerically)
-    vanishes the alignment is flagged degenerate and mu defaults to 1.
-    """
-    u = square(u)
-    v = square(v)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    t = complex(np.vdot(v, u))
-    if abs(t) < DEGENERATE_TRACE_TOL:
-        mu, degenerate = complex(1.0), True
-    else:
-        mu, degenerate = t / abs(t), False
-    return PhaseAlignment(mu=mu, distance=frob_norm(u - mu * v), degenerate=degenerate)
 
 
 def relation_matrix(u1, u2, v) -> DiagonalRelation:

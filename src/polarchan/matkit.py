@@ -1,4 +1,6 @@
-"""Dense complex linear algebra and unitary-group geometry primitives.
+"""Dense complex linear algebra primitives: Hermitian and skew parts, the
+reproducible Hermitian eigendecomposition, the polar decomposition, and seeded
+random unitaries and densities.
 
 Everything operates on plain numpy arrays of complex128. Functions return
 fresh arrays and never mutate their inputs; decomposition results are frozen
@@ -19,7 +21,6 @@ __all__ = [
     "frob_norm",
     "herm_part",
     "skew_part",
-    "tangent_project",
     "hermitian_eig",
     "poldec",
     "random_unitary",
@@ -61,17 +62,6 @@ def skew_part(a) -> np.ndarray:
     return (a - a.conj().T) / 2.0
 
 
-def tangent_project(x, h) -> np.ndarray:
-    """Project h onto the tangent space of the unitary group at x: x skew(x* h)."""
-    x = square(x)
-    h = square(h)
-    if x.shape != h.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {h.shape}")
-    if unitarity_defect(x) > 1e-10:
-        raise ValueError("base point x is not unitary within 1e-10")
-    return x @ skew_part(x.conj().T @ h)
-
-
 def _check_hermitian(a: np.ndarray, label: str) -> None:
     """Raise ValueError unless ||a - a*||_F <= 1e-10 ||a||_F."""
     if frob_norm(a - a.conj().T) > 1e-10 * max(frob_norm(a), 1e-300):
@@ -106,22 +96,23 @@ def hermitian_eig(a) -> HermitianEigen:
 
 @dataclass(frozen=True)
 class PolarFactors:
-    """unitary @ psd reproduces the decomposed matrix; psd is Hermitian PSD."""
+    """a = unitary @ H with H Hermitian PSD; H's eigenvalues are singular_values (descending)."""
 
     unitary: np.ndarray
-    psd: np.ndarray
+    singular_values: np.ndarray
 
 
 def poldec(a) -> PolarFactors:
-    """Polar decomposition a = unitary @ psd via SVD.
+    """Polar decomposition a = unitary @ H via SVD, H = unitary* a.
 
     The unitary factor is the closest unitary matrix to ``a`` in Frobenius
     norm; for rank-deficient input the SVD formula still applies and yields
-    one valid completion of the unitary factor.
+    one valid completion of the unitary factor. H itself is not formed: its
+    eigenvalues are the singular values of ``a``, returned in descending order.
     """
     a = square(a)
     w, s, vh = np.linalg.svd(a)
-    return PolarFactors(unitary=w @ vh, psd=(vh.conj().T * s) @ vh)
+    return PolarFactors(unitary=w @ vh, singular_values=s)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import _check_hermitian, frob_norm, random_unitary, skew_part, square
+from .matkit import _check_hermitian, frob_norm, poldec, random_unitary, skew_part, square
 
 __all__ = [
     "ChannelInstance",
@@ -154,13 +154,6 @@ def _total_objective(u, pairs) -> float:
     return float(total)
 
 
-def _polar_update(m) -> tuple[np.ndarray, bool]:
-    """The unitary polar factor of m, and whether m is (numerically) singular."""
-    w, svals, vh = np.linalg.svd(m)
-    singular = bool(svals[0] == 0.0 or svals[-1] <= svals[0] * _SINGULAR_RTOL)
-    return w @ vh, singular
-
-
 def _residual(u, m) -> float:
     """||skew(U* m)||_F for the summed negative gradient m at U."""
     return frob_norm(skew_part(u.conj().T @ m))
@@ -189,7 +182,7 @@ def residual(u, pairs) -> float:
 def step(u, pairs) -> np.ndarray:
     """One fixed-point update: the unitary polar factor of sum_i 2 sigma_i U rho_i."""
     u = square(u)
-    return _polar_update(_grad_sum(u, _pair_list(pairs)))[0]
+    return poldec(_grad_sum(u, _pair_list(pairs))).unitary
 
 
 def solve(instance, config: SolverConfig | None = None) -> SolveResult:
@@ -222,10 +215,11 @@ def solve(instance, config: SolverConfig | None = None) -> SolveResult:
         status = STATUS_CONVERGED_TOL
     else:
         for _ in range(cfg.max_iters):
-            u_next, is_singular = _polar_update(m)
-            singular += is_singular
-            dnorm = frob_norm(u_next - u)
-            u = u_next
+            polar = poldec(m)
+            svals = polar.singular_values
+            singular += bool(svals[0] == 0.0 or svals[-1] <= svals[0] * _SINGULAR_RTOL)
+            dnorm = frob_norm(polar.unitary - u)
+            u = polar.unitary
             m = _grad_sum(u, pairs)  # reused for the residual and the next update
             obj = _total_objective(u, pairs)
             objs.append(obj)

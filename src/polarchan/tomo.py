@@ -148,25 +148,19 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     return out
 
 
-def probe_states(v, p: int, q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchored phase probes built from columns of v:
+def probe_states(v, p: int, q: int, r: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Phase probes built from columns of v, anchored on column r unless r is None:
 
         plus  = v_r v_r* + (v_p v_q* + v_q v_p*)/2
         minus = v_r v_r* + (v_p v_q* - v_q v_p*)/2i
 
-    Both are Hermitian with unit trace (the cross terms are traceless). They
-    are not positive semidefinite: the cross block has eigenvalues +-1/2,
-    which is harmless because the simulated channel is linear on Hermitian
-    matrices.
-    """
-    return _probes(square(v), p, q, r)
-
-
-def _probes(v, p: int, q: int, r: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The probe_states pair, anchored on column r unless r is None.
-
     The indices (p, q and r when given) must be pairwise distinct columns of v.
+    Anchored probes are Hermitian with unit trace (the cross terms are
+    traceless); without the anchor they are traceless. They are not positive
+    semidefinite: the cross block has eigenvalues +-1/2, which is harmless
+    because the simulated channel is linear on Hermitian matrices.
     """
+    v = square(v)
     n = v.shape[0]
     idx = (p, q) if r is None else (p, q, r)
     if len(set(idx)) != len(idx):
@@ -203,7 +197,7 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int, r: int |
         raise ValueError("u0 and v must have the same shape")
     if r is None and n >= 3:
         r = min(k for k in range(n) if k not in (p, q))
-    plus, minus = _probes(v, p, q, r)
+    plus, minus = probe_states(v, p, q, r)
     w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
     proj = np.outer(w, w.conj())
     m_plus = oracle.expectation(plus, proj)

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from polarchan.equiv import (
     PivotError,
-    global_phase_align,
     is_equiv_under,
     normalized_diff,
     relation_matrix,
@@ -19,59 +18,6 @@ def phase_diagonal(rng, n):
 def class_member(u, v, d):
     """u V diag(d) V* for unimodular d."""
     return u @ (v * d[np.newaxis, :]) @ v.conj().T
-
-
-class TestGlobalPhaseAlign:
-    def test_self(self):
-        u = random_unitary(4, 0)
-        out = global_phase_align(u, u)
-        assert_allclose(out.mu, 1.0, atol=1e-14)
-        assert out.distance < 1e-14
-        assert not out.degenerate
-
-    def test_exact_phase(self):
-        v = random_unitary(5, 1)
-        theta = 0.7
-        out = global_phase_align(np.exp(1j * theta) * v, v)
-        assert out.distance < 1e-12
-        assert_allclose(out.mu, np.exp(1j * theta), atol=1e-13)
-
-    def test_distance_identity(self):
-        # ||U - mu V||^2 = 2n - 2|tr(V*U)| at the optimal mu
-        for seed in range(5):
-            u = random_unitary(6, seed)
-            v = random_unitary(6, seed + 100)
-            out = global_phase_align(u, v)
-            expected = 2 * 6 - 2 * abs(np.vdot(v, u))
-            assert_allclose(out.distance**2, expected, atol=1e-10)
-
-    def test_invariant_under_left_multiplication(self):
-        u = random_unitary(4, 7)
-        v = random_unitary(4, 8)
-        w = random_unitary(4, 9)
-        assert_allclose(
-            global_phase_align(w @ u, w @ v).distance,
-            global_phase_align(u, v).distance,
-            atol=1e-12,
-        )
-
-    def test_degenerate_alignment_flagged(self):
-        v = np.eye(2, dtype=complex)
-        u = np.diag([1.0, -1.0]).astype(complex)  # tr(V*U) = 0
-        out = global_phase_align(u, v)
-        assert out.degenerate
-        assert out.mu == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            global_phase_align(np.eye(2), np.eye(3))
-
-    def test_phase_leaves_channel_invariant(self):
-        u = random_unitary(5, 10)
-        mu = np.exp(0.3j)
-        for seed in range(5):
-            rho = random_density(5, seed)
-            assert frob_norm(u @ rho @ u.conj().T - (mu * u) @ rho @ (mu * u).conj().T) < 1e-14
 
 
 class TestRelationMatrix:
@@ -164,3 +110,10 @@ class TestNormalizedDiff:
     def test_unknown_pivot(self):
         with pytest.raises(ValueError):
             normalized_diff(np.eye(2), np.eye(2), pivot="corner")
+
+    def test_phase_leaves_channel_invariant(self):
+        u = random_unitary(5, 10)
+        mu = np.exp(0.3j)
+        for seed in range(5):
+            rho = random_density(5, seed)
+            assert frob_norm(u @ rho @ u.conj().T - (mu * u) @ rho @ (mu * u).conj().T) < 1e-14

@@ -180,10 +180,13 @@ class TestCmdReconstruct:
         assert code == 1
         assert "degenerate state" in capsys.readouterr().err
 
-    def test_non_unitary_input_exits_1(self, tmp_path):
+    def test_non_unitary_input_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         write_matrix_file(path, np.diag([1.0, 2.0]))
-        assert main(["reconstruct", "--in", str(path), "--out", str(tmp_path / "o")]) == 1
+        for extra in ([], ["--force-degenerate"]):
+            assert main(["reconstruct", "--in", str(path), "--out", str(tmp_path / "o"), *extra]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: hidden channel matrix is not unitary within 1e-10\n", (extra, err)
 
     def test_missing_source_exits_1(self, tmp_path):
         assert main(["reconstruct", "--out", str(tmp_path / "o")]) == 1

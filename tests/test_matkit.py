@@ -11,7 +11,6 @@ from polarchan.matkit import (
     random_density,
     random_unitary,
     skew_part,
-    tangent_project,
     unitarity_defect,
 )
 
@@ -54,37 +53,6 @@ class TestHermSkewSplit:
         for _ in range(10):
             a = _rand_complex(rng, 6)
             assert_allclose(herm_part(a) + skew_part(a), a, rtol=0, atol=1e-14 * np.abs(a).max())
-
-
-class TestTangentProject:
-    def test_skew_at_identity_passes_through(self):
-        rng = np.random.default_rng(5)
-        h = skew_part(_rand_complex(rng, 4))
-        assert_allclose(tangent_project(np.eye(4), h), h, atol=1e-15)
-
-    def test_hermitian_at_identity_killed(self):
-        rng = np.random.default_rng(6)
-        h = herm_part(_rand_complex(rng, 4))
-        assert_allclose(tangent_project(np.eye(4), h), 0.0, atol=1e-15)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(7)
-        x = random_unitary(5, 11)
-        h = _rand_complex(rng, 5)
-        once = tangent_project(x, h)
-        twice = tangent_project(x, once)
-        assert_allclose(twice, once, atol=1e-13)
-
-    def test_output_in_tangent_space(self):
-        rng = np.random.default_rng(8)
-        for k in range(10):
-            x = random_unitary(6, k)
-            z = tangent_project(x, _rand_complex(rng, 6))
-            assert frob_norm(herm_part(x.conj().T @ z)) < 1e-12
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            tangent_project(2.0 * np.eye(3), np.eye(3))
 
     def test_split_identity(self):
         # H = X skew(X*H) + X herm(X*H) to round-off
@@ -138,39 +106,55 @@ class TestHermitianEig:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _psd_factor(out, a):
+    """H = unitary* a, the Hermitian factor of a = unitary @ H."""
+    return out.unitary.conj().T @ a
+
+
 class TestPoldec:
     def test_identity(self):
         out = poldec(np.eye(3))
         assert_allclose(out.unitary, np.eye(3), atol=1e-15)
-        assert_allclose(out.psd, np.eye(3), atol=1e-15)
+        assert_allclose(out.singular_values, np.ones(3), atol=1e-15)
 
     def test_positive_scaling(self):
         u0 = random_unitary(4, 2)
-        out = poldec(5.0 * u0)
+        a = 5.0 * u0
+        out = poldec(a)
         assert_allclose(out.unitary, u0, atol=1e-13)
-        assert_allclose(out.psd, 5.0 * np.eye(4), atol=1e-13)
+        assert_allclose(_psd_factor(out, a), 5.0 * np.eye(4), atol=1e-13)
+        assert_allclose(out.singular_values, np.full(4, 5.0), atol=1e-13)
 
     def test_hand_computed_2x2(self):
-        out = poldec(np.array([[0.0, -2.0], [3.0, 0.0]]))
+        a = np.array([[0.0, -2.0], [3.0, 0.0]])
+        out = poldec(a)
         assert_allclose(out.unitary, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
-        assert_allclose(out.psd, np.diag([3.0, 2.0]), atol=1e-14)
+        assert_allclose(_psd_factor(out, a), np.diag([3.0, 2.0]), atol=1e-14)
+        assert_allclose(out.singular_values, [3.0, 2.0], atol=1e-14)
 
     def test_factor_invariants(self):
         rng = np.random.default_rng(13)
         for n in (2, 3, 5, 8):
             a = _rand_complex(rng, n)
             out = poldec(a)
+            h = _psd_factor(out, a)
             assert unitarity_defect(out.unitary) < 1e-12
-            assert frob_norm(out.psd - out.psd.conj().T) < 1e-12
-            assert np.linalg.eigvalsh(out.psd).min() >= -1e-12
-            assert frob_norm(out.unitary @ out.psd - a) < 1e-10 * frob_norm(a)
+            assert frob_norm(h - h.conj().T) < 1e-12 * frob_norm(a)
+            assert frob_norm(out.unitary @ h - a) < 1e-10 * frob_norm(a)
+            s = out.singular_values
+            assert np.all(np.diff(s) <= 0) and s[-1] >= 0
+            assert_allclose(np.linalg.eigvalsh(herm_part(h))[::-1], s, atol=1e-12 * s[0])
 
     def test_rank_deficient(self):
         a = np.zeros((3, 3), dtype=complex)
         a[0, 0] = 2.0
         out = poldec(a)
+        h = _psd_factor(out, a)
         assert unitarity_defect(out.unitary) < 1e-12
-        assert frob_norm(out.unitary @ out.psd - a) < 1e-12
+        assert frob_norm(h - h.conj().T) < 1e-12
+        assert frob_norm(out.unitary @ h - a) < 1e-12
+        assert_allclose(out.singular_values, [2.0, 0.0, 0.0], atol=1e-15)
+        assert_allclose(np.linalg.eigvalsh(herm_part(h))[::-1], [2.0, 0.0, 0.0], atol=1e-14)
 
     def test_nearest_unitary_sample(self):
         # smaller sample here; the full 200x50 sweep runs in the acceptance suite

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from polarchan.matkit import (
     frob_norm,
-    herm_part,
     poldec,
     random_density,
     random_unitary,
@@ -210,8 +209,7 @@ class TestSolve:
         m = np.zeros_like(u)
         for rho, sigma in inst.pairs:
             m += 2.0 * sigma @ u @ rho
-        fac = poldec(m)
-        assert frob_norm(fac.unitary @ fac.psd - m) < 1e-8 * frob_norm(m)
+        assert_allclose(poldec(m).unitary, u, rtol=0, atol=1e-8)
 
     def test_inconsistent_instance_exits_via_stall_or_cap(self):
         # spectra differ, so no unitary can reach objective zero
@@ -220,6 +218,21 @@ class TestSolve:
         res = solve(ChannelInstance([(rho, sigma)]), SolverConfig(max_iters=3000, tol=1e-24))
         assert res.status in (STATUS_CONVERGED_STALL, STATUS_MAX_ITERS)
         assert res.trace.objective[-1] > 1e-12
+
+    def test_rank_deficient_probe_counts_every_step_singular(self):
+        # rho is PSD with a zero eigenvalue, so every gradient sum 2 sigma U rho is singular
+        hidden = random_unitary(3, 7)
+        rho = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        inst = ChannelInstance([(rho, hidden @ rho @ hidden.conj().T)])
+        res = solve(inst, SolverConfig(max_iters=20))
+        assert len(res.trace) == 21
+        assert res.singular_steps == 20
+
+    def test_positive_definite_instance_has_no_singular_steps(self):
+        _, inst = exact_instance(6, 19)
+        res = solve(inst, SolverConfig(max_iters=200))
+        assert len(res.trace) > 1
+        assert res.singular_steps == 0
 
     def test_random_init_is_seeded(self):
         _, inst = exact_instance(4, 33)

@@ -268,6 +268,11 @@ class TestProbeStates:
             np.outer(e[:, 1], e[:, 2]) - np.outer(e[:, 2], e[:, 1])
         ) / 2j
         assert_allclose(minus, expected_minus, atol=0)
+        # without an anchor the probes are the traceless cross terms alone
+        anchor = np.outer(e[:, 0], e[:, 0])
+        bare_plus, bare_minus = probe_states(np.eye(3), 1, 2)
+        assert_allclose(bare_plus, expected_plus - anchor, atol=0)
+        assert_allclose(bare_minus, expected_minus - anchor, atol=0)
 
     def test_plus_spectrum(self):
         v = random_unitary(6, 24)
