@@ -45,13 +45,13 @@ def _validated_state(m, label: str) -> np.ndarray:
     _check_hermitian(m, label)
     evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     if evals[0] <= -1e-10 * max(abs(evals[-1]), 1e-300):
-        raise ValueError(f"{label} is not positive definite within 1e-10")
+        raise ValueError(f"{label} is not positive semidefinite within 1e-10")
     return m
 
 
 @dataclass
 class ChannelInstance:
-    """One or more (input, output) Hermitian positive definite state pairs."""
+    """One or more (input, output) Hermitian positive semidefinite state pairs."""
 
     pairs: list[tuple[np.ndarray, np.ndarray]]
 

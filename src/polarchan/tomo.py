@@ -10,12 +10,15 @@ its two entries, so a query reads two entries of the channel output, and
 phase extraction sends a dense projector. A full reconstruction spends
 n^2+n queries on state tomography of one output state plus 2(n-1) queries
 on diagonal-phase extraction, staying under the n^2+3n ceiling.
+
+A query on the state just evaluated still costs O(n^2): the oracle
+serialises the state, compares it byte for byte with its previous input, and
+copies the stored output.
 """
 
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +58,14 @@ class ChannelOracle:
 
     ``apply`` evaluates the channel directly (used for verification, never
     counted); ``expectation`` is the only measurement primitive and increments
-    the counter by exactly one per call, atomically.
+    the counter by exactly one per successful call. The oracle is for use from
+    one thread.
 
     ``apply`` reuses its latest evaluation: when the input matches the
-    previous one byte for byte it returns a copy of the stored output, so
-    repeated queries on one state cost O(n^2) after the first. Counting does
-    not depend on it: each ``expectation`` calls ``apply`` and adds exactly one.
+    previous one byte for byte it returns a copy of the stored output, so a
+    repeated query on one state costs O(n^2) after the first: serialising and
+    comparing the key, and copying the output. Counting does not depend on it:
+    each ``expectation`` calls ``apply`` and adds exactly one.
     """
 
     def __init__(self, hidden_u):
@@ -68,8 +73,8 @@ class ChannelOracle:
         if unitarity_defect(u) > 1e-10:
             raise ValueError("hidden channel matrix is not unitary within 1e-10")
         self._u = u.copy()
+        self._uh = self._u.conj().T
         self._queries = 0
-        self._lock = threading.Lock()
         # (input bytes, output) of the latest evaluation; read once, replaced whole.
         self._last: tuple[bytes, np.ndarray] | None = None
 
@@ -90,7 +95,7 @@ class ChannelOracle:
         last = self._last
         if last is not None and last[0] == key:
             return last[1].copy()
-        out = self._u @ s @ self._u.conj().T
+        out = self._u @ s @ self._uh
         self._last = (key, out)
         return out.copy()
 
@@ -100,8 +105,9 @@ class ChannelOracle:
         Give the observable either as a matrix or as its nonzero entries,
         ``entries=(rows, cols, weights)`` with observable[rows[k], cols[k]] =
         weights[k] (repeated positions add); the entries form reads only
-        those entries of Phi(state). Exactly one of the two forms is allowed,
-        and both are checked before the query is counted.
+        those entries of Phi(state). Exactly one of the two forms is allowed;
+        entry indices are integers (not bools) in range. A call that raises
+        is not counted.
         """
         if (observable is None) == (entries is None):
             raise ValueError("give exactly one of observable and entries")
@@ -116,14 +122,18 @@ class ChannelOracle:
             rows, cols, weights = entries
             if not len(rows) == len(cols) == len(weights):
                 raise ValueError("entries need rows, cols and weights of equal length")
+            n = self._u.shape[0]
             for k in (*rows, *cols):
-                if not 0 <= operator.index(k) < self.dim:
-                    raise ValueError(f"entry index {k} out of range for dimension {self.dim}")
+                # a bool passes operator.index, but numpy reads it as a mask
+                if type(k) is bool or not 0 <= operator.index(k) < n:
+                    raise ValueError(f"entry index {k!r} is not an integer in range({n})")
             out = self.apply(state)
-            value = sum(out[c, r] * w for r, c, w in zip(rows, cols, weights))
-        with self._lock:
-            self._queries += 1
-        return float(np.real(value))
+            value = 0
+            for r, c, w in zip(rows, cols, weights):
+                value = value + out[c, r] * w
+        value = float(value.real)
+        self._queries += 1
+        return value
 
 
 def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
@@ -136,10 +146,11 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     """
     n = oracle.dim
     out = np.zeros((n, n), dtype=np.complex128)
+    expectation = oracle.expectation
     for i in range(n):
         for j in range(i, n):
-            mp = oracle.expectation(input_state, entries=((i, j), (j, i), (0.5, 0.5)))
-            mm = oracle.expectation(input_state, entries=((i, j), (j, i), (-0.5j, 0.5j)))
+            mp = expectation(input_state, entries=((i, j), (j, i), (0.5, 0.5)))
+            mm = expectation(input_state, entries=((i, j), (j, i), (-0.5j, 0.5j)))
             if i == j:
                 out[i, i] = mp
             else:
@@ -169,8 +180,9 @@ def probe_states(v, p: int, q: int, r: int | None = None) -> tuple[np.ndarray, n
         if not 0 <= k < n:
             raise ValueError(f"probe index {k} out of range for dimension {n}")
     cross = np.outer(v[:, p], v[:, q].conj())
-    plus = 0.5 * (cross + cross.conj().T)
-    minus = (cross - cross.conj().T) / 2j
+    cross_h = cross.conj().T
+    plus = 0.5 * (cross + cross_h)
+    minus = (cross - cross_h) / 2j
     if r is None:
         return plus, minus
     anchor = np.outer(v[:, r], v[:, r].conj())

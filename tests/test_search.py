@@ -54,6 +54,16 @@ class TestChannelInstance:
         with pytest.raises(ValueError):
             ChannelInstance([(np.diag([1.0, -0.5]), np.eye(2) / 2)])
 
+    def test_accepts_rank_deficient_state(self):
+        rho = np.diag([0.7, 0.3, 0.0])
+        inst = ChannelInstance([(rho, rho)])
+        assert inst.n == 3
+
+    def test_rejects_negative_eigenvalue_naming_the_rule(self):
+        bad = np.diag([0.7, 0.3, -0.01])
+        with pytest.raises(ValueError, match=r"rho\[0\] is not positive semidefinite"):
+            ChannelInstance([(bad, np.diag([0.7, 0.3, 0.0]))])
+
     def test_rejects_mixed_dims(self):
         with pytest.raises(ValueError):
             ChannelInstance([

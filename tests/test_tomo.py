@@ -143,15 +143,43 @@ class TestChannelOracle:
             {"entries": ((0, 1), (1, 0), (0.5,))},
             {"observable": np.eye(3), "entries": ((0,), (0,), (1.0,))},
             {},
+            {"entries": ((True, 0), (2, 1), (0.5, 0.5))},  # numpy would read True as a mask
+            {"entries": ((2, 1), (False, 0), (0.5, 0.5))},
         ],
         ids=["negative-row", "negative-col", "col-too-large", "row-too-large",
-             "short-cols", "short-weights", "both-forms", "neither-form"],
+             "short-cols", "short-weights", "both-forms", "neither-form",
+             "bool-row", "bool-col"],
     )
     def test_bad_entries_rejected_before_counting(self, kwargs):
         oracle = ChannelOracle(random_unitary(3, 34))
         with pytest.raises(ValueError):
             oracle.expectation(random_density(3, 35), **kwargs)
         assert oracle.queries == 0
+
+    def test_empty_entries_read_zero_and_count_once(self):
+        oracle = ChannelOracle(random_unitary(3, 36))
+        value = oracle.expectation(random_density(3, 37), entries=((), (), ()))
+        assert type(value) is float and value == 0.0
+        assert oracle.queries == 1
+
+    def test_numpy_integer_indices_match_int_bitwise(self):
+        oracle = ChannelOracle(random_unitary(4, 38))
+        rho = random_density(4, 39)
+        for weights in [(0.5, 0.5), (-0.5j, 0.5j)]:
+            via_int = oracle.expectation(rho, entries=((1, 3), (3, 1), weights))
+            via_np = oracle.expectation(
+                rho, entries=((np.int64(1), np.int64(3)), (np.int64(3), np.int64(1)), weights)
+            )
+            assert np.float64(via_np).tobytes() == np.float64(via_int).tobytes()
+        assert oracle.queries == 4
+
+    def test_apply_is_bitwise_the_direct_product(self):
+        u = random_unitary(8, 40)
+        oracle = ChannelOracle(u)
+        s = random_density(8, 41)
+        expected = (u @ s @ u.conj().T).tobytes()
+        assert oracle.apply(s).tobytes() == expected  # fresh evaluation
+        assert oracle.apply(s).tobytes() == expected  # reused output
 
     def test_apply_sees_input_mutated_in_place(self):
         u = random_unitary(4, 12)
@@ -205,7 +233,7 @@ class TestStateTomography:
         assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12
         assert frob_norm(out - out.conj().T) < 1e-14
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 64])
     def test_matches_dense_reference(self, n):
         u = random_unitary(n, 40 + n)
         rho = random_density(n, 41 + n)
