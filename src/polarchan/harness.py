@@ -245,6 +245,9 @@ def cmd_reconstruct(args: argparse.Namespace, solver: SolverConfig, out: Path) -
         "eigengap": report.eigengap if math.isfinite(report.eigengap) else None,
         "residual_on_tests": report.residual_on_tests,
         "normalized_diff": diff,
+        "solver_status": report.solve.status,
+        "iterations": len(report.solve.trace) - 1,
+        "singular_steps": report.solve.singular_steps,
     }
     _write_json(out / "report.json", doc)
     print(

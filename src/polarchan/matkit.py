@@ -63,7 +63,9 @@ def skew_part(a) -> np.ndarray:
 
 
 def _check_hermitian(a: np.ndarray, label: str) -> None:
-    """Raise ValueError unless ||a - a*||_F <= 1e-10 ||a||_F."""
+    """Raise ValueError unless a is finite and ||a - a*||_F <= 1e-10 ||a||_F."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{label} has non-finite entries")
     if frob_norm(a - a.conj().T) > 1e-10 * max(frob_norm(a), 1e-300):
         raise ValueError(f"{label} is not Hermitian within 1e-10")
 

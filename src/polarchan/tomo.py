@@ -70,7 +70,8 @@ class ChannelOracle:
 
     def __init__(self, hidden_u):
         u = square(hidden_u)
-        if unitarity_defect(u) > 1e-10:
+        # written so that a NaN defect (non-finite input, overflow) fails too
+        if not (np.isfinite(u).all() and unitarity_defect(u) <= 1e-10):
             raise ValueError("hidden channel matrix is not unitary within 1e-10")
         self._u = u.copy()
         self._uh = self._u.conj().T

@@ -197,6 +197,16 @@ class TestCmdReconstruct:
             assert main(["reconstruct", "--circuit", "example2", "--seed", "8", "--out", str(out)]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_report_accounts_for_its_solve(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["reconstruct", "--circuit", "example2", "--seed", "3", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        lib = reconstruct(ChannelOracle(build_example2_circuit()), random_density(8, 3)).solve
+        assert doc["solver_status"] == lib.status == "converged-tol"
+        assert doc["iterations"] == len(lib.trace) - 1 > 0
+        assert doc["singular_steps"] == lib.singular_steps == 0
+        assert not [key for key in doc if "time" in key]
+
     def test_cli_matches_library_default_config(self, tmp_path):
         # the CLI's reconstruct base and the library default share one tolerance
         out = tmp_path / "run"

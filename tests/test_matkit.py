@@ -105,6 +105,13 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[2, 2] = bad
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            hermitian_eig(a)
+
 
 def _psd_factor(out, a):
     """H = unitary* a, the Hermitian factor of a = unitary @ H."""

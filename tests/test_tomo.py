@@ -62,6 +62,13 @@ class TestChannelOracle:
         with pytest.raises(ValueError):
             ChannelOracle(np.diag([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_hidden_matrix(self, bad):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            ChannelOracle(u)
+
     def test_apply_matches_direct(self):
         u = random_unitary(4, 0)
         oracle = ChannelOracle(u)
@@ -431,6 +438,14 @@ class TestReconstruct:
         oracle = ChannelOracle(np.eye(3))
         with pytest.raises(ValueError):
             reconstruct(oracle, np.diag([0.9, 0.3, -0.2]))
+
+    def test_non_finite_rho0_rejected_before_any_query(self):
+        oracle = ChannelOracle(np.eye(3))
+        rho0 = random_density(3, 4)
+        rho0[0, 1] = np.nan
+        with pytest.raises(ValueError, match="has non-finite entries"):
+            reconstruct(oracle, rho0)
+        assert oracle.queries == 0
 
     def test_solver_cap_raises(self):
         hidden = random_unitary(6, 50)
