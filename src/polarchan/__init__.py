@@ -47,7 +47,7 @@ from .tomo import (
     ReconstructionError,
     ReconstructionReport,
     extract_phase_product,
-    probe_states,
+    probe_state,
     reconstruct,
     state_tomography,
 )

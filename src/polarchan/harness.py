@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .equiv import PivotError, normalized_diff
-from .matkit import random_density, random_unitary, square
+from .matkit import _relative_eigengap, random_density, random_unitary, square
 from .search import STATUS_MAX_ITERS, ChannelInstance, IterationTrace, SolverConfig, solve
 from .tomo import RECONSTRUCT_TOL, ChannelOracle, ReconstructionError, reconstruct
 
@@ -158,10 +158,7 @@ def density_candidates(n: int, base_seed: int, min_rel_gap: float, max_tries: in
     for attempt in range(max_tries):
         s = int(np.random.SeedSequence([base_seed, attempt]).generate_state(1)[0])
         rho = random_density(n, s)
-        w = np.linalg.eigvalsh(rho)
-        span = float(w[-1] - w[0])
-        gap = float(np.min(np.diff(w)))
-        if span > 0 and gap >= min_rel_gap * span:
+        if _relative_eigengap(np.linalg.eigvalsh(rho)) >= min_rel_gap:
             yield rho, s
 
 

@@ -96,6 +96,15 @@ def hermitian_eig(a) -> HermitianEigen:
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
+def _relative_eigengap(w: np.ndarray) -> float:
+    """Smallest gap between consecutive sorted (either order) eigenvalues over
+    their span: inf for fewer than two, 0.0 when the span is not positive."""
+    if w.size < 2:
+        return float("inf")
+    span = abs(float(w[-1] - w[0]))
+    return float(np.min(np.abs(np.diff(w)))) / span if span > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class PolarFactors:
     """a = unitary @ H with H Hermitian PSD; H's eigenvalues are singular_values (descending)."""

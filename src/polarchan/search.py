@@ -97,6 +97,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if not (math.isfinite(self.stall_tol) and self.stall_tol >= 0):
@@ -129,20 +131,17 @@ class SolveResult:
     singular_steps: int = 0
 
 
-def _pair_list(pairs):
-    if isinstance(pairs, ChannelInstance):
-        return pairs.pairs
-    return [(square(r), square(s)) for r, s in pairs]
-
-
-def _checked_pair(u, pair):
+def _checked_pairs(u, pairs):
+    """U and its state pairs (a ChannelInstance or (rho, sigma) tuples) as
+    square matrices, every state checked against U's dimension."""
     u = square(u)
-    rho, sigma = pair
-    rho = square(rho)
-    sigma = square(sigma)
-    if rho.shape != u.shape or sigma.shape != u.shape:
-        raise ValueError("dimension mismatch between U and the state pair")
-    return u, [(rho, sigma)]
+    if isinstance(pairs, ChannelInstance):
+        pairs = pairs.pairs
+    checked = [(square(rho), square(sigma)) for rho, sigma in pairs]
+    for k, (rho, sigma) in enumerate(checked):
+        if rho.shape != u.shape or sigma.shape != u.shape:
+            raise ValueError(f"dimension mismatch between U {u.shape} and state pair {k}")
+    return u, checked
 
 
 def _grad_objective(u, pairs) -> tuple[np.ndarray, float]:
@@ -172,12 +171,12 @@ def _residual(u, m) -> float:
 
 def objective(u, pair) -> float:
     """Misfit 0.5 ||sigma - U rho U*||_F^2 for a single (rho, sigma) pair."""
-    return _grad_objective(*_checked_pair(u, pair))[1]
+    return _grad_objective(*_checked_pairs(u, [pair]))[1]
 
 
 def neg_gradient(u, pair) -> np.ndarray:
     """Negative Euclidean gradient of the pair objective: 2 sigma U rho."""
-    return _grad_objective(*_checked_pair(u, pair))[0]
+    return _grad_objective(*_checked_pairs(u, [pair]))[0]
 
 
 def residual(u, pairs) -> float:
@@ -186,14 +185,13 @@ def residual(u, pairs) -> float:
     Zero exactly when U is a first-order critical point of the summed objective
     on the unitary group.
     """
-    u = square(u)
-    return _residual(u, _grad_objective(u, _pair_list(pairs))[0])
+    u, pairs = _checked_pairs(u, pairs)
+    return _residual(u, _grad_objective(u, pairs)[0])
 
 
 def step(u, pairs) -> np.ndarray:
     """One fixed-point update: the unitary polar factor of sum_i 2 sigma_i U rho_i."""
-    u = square(u)
-    return poldec(_grad_objective(u, _pair_list(pairs))[0]).unitary
+    return poldec(_grad_objective(*_checked_pairs(u, pairs))[0]).unitary
 
 
 def solve(instance, config: SolverConfig | None = None) -> SolveResult:

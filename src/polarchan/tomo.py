@@ -7,7 +7,8 @@ primitive: state tomography and phase extraction both call it directly.
 An observable goes in as a dense matrix or as its nonzero entries
 (rows, cols, weights); tomography sends each of its E+/E- observables as
 its two entries, so a query reads two entries of the channel output, and
-phase extraction sends a dense projector. A full reconstruction spends
+phase extraction reads one probe state per phase through two dense
+projectors, one channel evaluation per phase. A full reconstruction spends
 n^2+n queries on state tomography of one output state plus 2(n-1) queries
 on diagonal-phase extraction, staying under the n^2+3n ceiling.
 
@@ -23,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import frob_norm, hermitian_eig, random_density, square, unitarity_defect
+from .matkit import (
+    _relative_eigengap,
+    frob_norm,
+    hermitian_eig,
+    random_density,
+    square,
+    unitarity_defect,
+)
 from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult, solve
 
 __all__ = [
@@ -32,7 +40,7 @@ __all__ = [
     "DegenerateStateError",
     "ReconstructionError",
     "state_tomography",
-    "probe_states",
+    "probe_state",
     "extract_phase_product",
     "reconstruct",
 ]
@@ -160,62 +168,52 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     return out
 
 
-def probe_states(v, p: int, q: int, r: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Phase probes built from columns of v, anchored on column r unless r is None:
+def probe_state(v, p: int, q: int) -> np.ndarray:
+    """The phase probe for columns p and q of v, anchored on column r:
 
-        plus  = v_r v_r* + (v_p v_q* + v_q v_p*)/2
-        minus = v_r v_r* + (v_p v_q* - v_q v_p*)/2i
+        v_r v_r* + (v_p v_q* + v_q v_p*)/2
 
-    The indices (p, q and r when given) must be pairwise distinct columns of v.
-    Anchored probes are Hermitian with unit trace (the cross terms are
-    traceless); without the anchor they are traceless. They are not positive
-    semidefinite: the cross block has eigenvalues +-1/2, which is harmless
-    because the simulated channel is linear on Hermitian matrices.
+    with r the smallest index other than p and q. The indices p and q must be
+    distinct columns of v. At n >= 3 the probe is Hermitian with unit trace
+    (the cross term is traceless); at n == 2 no anchor exists and the probe is
+    the bare, traceless cross term. It is not positive semidefinite: the cross
+    term has eigenvalues +-1/2, which is harmless because the simulated
+    channel is linear on Hermitian matrices.
     """
     v = square(v)
     n = v.shape[0]
-    idx = (p, q) if r is None else (p, q, r)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"probe indices must be pairwise distinct, got {idx}")
-    for k in idx:
-        if not 0 <= k < n:
-            raise ValueError(f"probe index {k} out of range for dimension {n}")
+    if p == q or not (0 <= p < n and 0 <= q < n):
+        raise ValueError(f"probe indices must be distinct columns in range({n}), got {(p, q)}")
     cross = np.outer(v[:, p], v[:, q].conj())
-    cross_h = cross.conj().T
-    plus = 0.5 * (cross + cross_h)
-    minus = (cross - cross_h) / 2j
-    if r is None:
-        return plus, minus
-    anchor = np.outer(v[:, r], v[:, r].conj())
-    return anchor + plus, anchor + minus
+    plus = 0.5 * (cross + cross.conj().T)
+    if n == 2:
+        return plus
+    r = min(k for k in range(n) if k not in (p, q))
+    return np.outer(v[:, r], v[:, r].conj()) + plus
 
 
-def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int, r: int | None = None) -> complex:
+def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> complex:
     """Recover alpha = d_p conj(d_q) of the hidden diagonal phases in two queries.
 
     When u0 solves the single-pair problem for a state with eigenbasis V, the
     hidden unitary factors as U = u0 V diag(d) V*, so the channel maps
-    v_p v_q* to d_p conj(d_q) (u0 v_p)(u0 v_q)*. Projecting the channel output
-    of the two probes onto w = u0 (v_p + v_q)/sqrt(2) reads off Re(alpha)/2
-    and Im(alpha)/2. The anchor column v_r (r distinct from p and q, smallest
-    such index by default) keeps the probes unit-trace and contributes nothing
-    to either expectation; at n == 2 no third index exists, so the anchor is
-    dropped (which leaves the extracted value unchanged) and an explicit r
-    raises ValueError.
+    v_p v_q* to d_p conj(d_q) (u0 v_p)(u0 v_q)*. Both queries measure the one
+    ``probe_state``: projecting its channel output onto w = u0 (v_p + v_q)/sqrt(2)
+    reads Re(alpha)/2, and onto w' = u0 (v_p + i v_q)/sqrt(2) reads -Im(alpha)/2.
+    The anchor column contributes nothing to either expectation. The second
+    query repeats the first one's input, so the oracle evaluates the channel
+    once per call.
     """
     u0 = square(u0)
     v = square(v)
-    n = v.shape[0]
     if u0.shape != v.shape:
         raise ValueError("u0 and v must have the same shape")
-    if r is None and n >= 3:
-        r = min(k for k in range(n) if k not in (p, q))
-    plus, minus = probe_states(v, p, q, r)
-    w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
-    proj = np.outer(w, w.conj())
-    m_plus = oracle.expectation(plus, proj)
-    m_minus = oracle.expectation(minus, proj)
-    alpha = complex(2.0 * (m_plus + 1j * m_minus))
+    probe = probe_state(v, p, q)
+    w = u0 @ (v[:, p] + v[:, q]) / np.sqrt(2.0)
+    w_i = u0 @ (v[:, p] + 1j * v[:, q]) / np.sqrt(2.0)
+    m_re = oracle.expectation(probe, np.outer(w, w.conj()))
+    m_im = oracle.expectation(probe, np.outer(w_i, w_i.conj()))
+    alpha = complex(2.0 * (m_re - 1j * m_im))
     if abs(abs(alpha) - 1.0) > ALPHA_UNIT_TOL:
         raise ReconstructionError(
             f"phase product for pair ({p}, {q}) has modulus {abs(alpha):.6f}; "
@@ -252,8 +250,8 @@ def reconstruct(
 
     Pipeline: tomograph sigma0 = Phi(rho0) (n^2+n queries), solve the
     single-pair problem to get u0, then fix d_0 = 1 and extract the remaining
-    diagonal phases against the eigenbasis of rho0 (2 queries per phase,
-    2(n-1) total). The recovered matrix u0 V diag(d) V* equals the hidden
+    diagonal phases against the eigenbasis of rho0 (one probe, 2 queries per
+    phase, 2(n-1) total). The recovered matrix u0 V diag(d) V* equals the hidden
     unitary up to a global phase and is checked against the channel on five
     random test states via direct evaluation (not counted).
 
@@ -266,20 +264,13 @@ def reconstruct(
     if rho0.shape[0] != n:
         raise ValueError(f"rho0 is {rho0.shape}, channel dimension is {n}")
     eig = hermitian_eig(rho0)
-    w = eig.eigenvalues
-    if w[-1] <= 0:
+    if eig.eigenvalues[-1] <= 0:
         raise ValueError("rho0 must be positive definite")
-    if n >= 2:
-        span = float(w[0] - w[-1])
-        min_gap = float(np.min(-np.diff(w)))
-        if span <= 0 or min_gap <= EIGENGAP_FLOOR * span:
-            raise DegenerateStateError(
-                f"degenerate state: relative eigengap {0.0 if span <= 0 else min_gap / span:.2e} "
-                f"is below {EIGENGAP_FLOOR:.0e}"
-            )
-        eigengap = min_gap / span
-    else:
-        eigengap = float("inf")
+    eigengap = _relative_eigengap(eig.eigenvalues)
+    if eigengap <= EIGENGAP_FLOOR:
+        raise DegenerateStateError(
+            f"degenerate state: relative eigengap {eigengap:.2e} is below {EIGENGAP_FLOOR:.0e}"
+        )
     v = eig.eigenvectors
 
     start = oracle.queries

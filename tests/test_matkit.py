@@ -113,6 +113,14 @@ class TestHermitianEig:
             hermitian_eig(a)
 
 
+def test_relative_eigengap_reads_either_order():
+    w = np.linalg.eigvalsh(random_density(6, 3))
+    assert matkit._relative_eigengap(w) == matkit._relative_eigengap(w[::-1])
+    assert_allclose(matkit._relative_eigengap(np.array([0.1, 0.15, 0.35, 0.4])), 1 / 6, rtol=1e-14)
+    assert matkit._relative_eigengap(np.array([1.0])) == np.inf
+    assert matkit._relative_eigengap(np.full(3, 1 / 3)) == 0.0
+
+
 def _psd_factor(out, a):
     """H = unitary* a, the Hermitian factor of a = unitary @ H."""
     return out.unitary.conj().T @ a

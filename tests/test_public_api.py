@@ -51,7 +51,7 @@ PUBLIC_NAMES = {
         "ReconstructionError",
         "ReconstructionReport",
         "extract_phase_product",
-        "probe_states",
+        "probe_state",
         "reconstruct",
         "state_tomography",
     ],

@@ -158,6 +158,11 @@ class TestResidual:
         assert res.status == STATUS_CONVERGED_TOL
         assert residual(res.u_hat, inst) < 1e-8
 
+    def test_dimension_mismatch(self):
+        rho3 = random_density(3, 1)
+        with pytest.raises(ValueError, match=r"dimension mismatch between U \(4, 4\) and state pair 1"):
+            residual(np.eye(4), [(np.eye(4) / 4, np.eye(4) / 4), (rho3, rho3)])
+
 
 class TestStep:
     def test_maximally_mixed_fixed_point(self):
@@ -176,6 +181,11 @@ class TestStep:
         pair = inst.pairs[0]
         u_next = step(hidden, inst)
         assert objective(u_next, pair) <= objective(hidden, pair) + 1e-12
+
+    def test_dimension_mismatch(self):
+        _, inst = exact_instance(3, 2)
+        with pytest.raises(ValueError, match=r"dimension mismatch between U \(4, 4\) and state pair 0"):
+            step(np.eye(4), inst)
 
 
 class TestSolve:
@@ -283,6 +293,10 @@ class TestSolverConfig:
                     SolverConfig(**{name: bad})
         cfg = SolverConfig(max_iters=np.int64(3), init_seed=np.int64(2))
         assert len(solve(exact_instance(3, 1)[1], cfg).trace) <= 4
+
+    def test_rejects_negative_init_seed(self):
+        with pytest.raises(ValueError, match="init_seed must be nonnegative, got -1"):
+            SolverConfig(init="random", init_seed=-1)
 
 
 class TestGradObjective:

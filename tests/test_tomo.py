@@ -18,7 +18,7 @@ from polarchan.tomo import (
     DegenerateStateError,
     ReconstructionError,
     extract_phase_product,
-    probe_states,
+    probe_state,
     reconstruct,
     state_tomography,
 )
@@ -46,15 +46,53 @@ def densify(n, entries):
 
 
 class RecordingOracle(ChannelOracle):
-    """A ChannelOracle that keeps a dense copy of every observable it is queried with."""
+    """A ChannelOracle that keeps a copy of every state and a dense copy of
+    every observable it is queried with."""
 
     def __init__(self, hidden_u):
         super().__init__(hidden_u)
+        self.states = []
         self.observables = []
 
     def expectation(self, state, observable=None, *, entries=None):
+        self.states.append(np.array(state, dtype=np.complex128))
         self.observables.append(np.array(observable) if entries is None else densify(self.dim, entries))
         return super().expectation(state, observable, entries=entries)
+
+
+class EvaluationCountingOracle(ChannelOracle):
+    """A ChannelOracle that counts the calls to ``apply`` whose input differs
+    byte for byte from the previous call's: the channel evaluations a run
+    needs when only the latest one can be reused."""
+
+    def __init__(self, hidden_u):
+        super().__init__(hidden_u)
+        self.evaluations = 0
+        self._previous = None
+
+    def apply(self, state):
+        key = np.asarray(state, dtype=np.complex128).tobytes()
+        if key != self._previous:
+            self.evaluations += 1
+            self._previous = key
+        return super().apply(state)
+
+
+def two_probe_phase_product(oracle, u0, v, p, q):
+    """Reference route for extract_phase_product: a second probe with the
+    antisymmetric cross term (v_p v_q* - v_q v_p*)/2i, read through the same
+    projector w = u0 (v_p + v_q)/sqrt(2), gives Im(alpha)/2."""
+    n = v.shape[0]
+    cross = np.outer(v[:, p], v[:, q].conj())
+    plus = 0.5 * (cross + cross.conj().T)
+    minus = (cross - cross.conj().T) / 2j
+    if n > 2:
+        r = min(k for k in range(n) if k not in (p, q))
+        anchor = np.outer(v[:, r], v[:, r].conj())
+        plus, minus = anchor + plus, anchor + minus
+    w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
+    proj = np.outer(w, w.conj())
+    return complex(2.0 * (oracle.expectation(plus, proj) + 1j * oracle.expectation(minus, proj)))
 
 
 class TestChannelOracle:
@@ -275,54 +313,50 @@ class TestStateTomography:
         u = random_unitary(4, 20)
         oracle = ChannelOracle(u)
         v = hermitian_eig(random_density(4, 21)).eigenvectors
-        plus, _ = probe_states(v, 1, 2, 0)
+        probe = probe_state(v, 1, 2)
         obs = herm_part(random_density(4, 22))
-        via_oracle = oracle.expectation(plus, obs)
-        recon = state_tomography(oracle, plus)
+        via_oracle = oracle.expectation(probe, obs)
+        recon = state_tomography(oracle, probe)
         via_tomo = np.real(np.trace(recon @ obs))
         assert_allclose(via_oracle, via_tomo, atol=1e-10)
 
 
 class TestProbeStates:
     def test_unit_traces(self):
-        v = random_unitary(5, 23)
-        plus, minus = probe_states(v, 3, 1, 0)
-        assert_allclose(np.trace(plus), 1.0, atol=1e-13)
-        assert_allclose(np.trace(minus), 1.0, atol=1e-13)
-        assert frob_norm(plus - plus.conj().T) < 1e-14
-        assert frob_norm(minus - minus.conj().T) < 1e-14
+        for n, p, q in [(3, 0, 2), (5, 3, 1), (8, 0, 7)]:
+            probe = probe_state(random_unitary(n, 23 + n), p, q)
+            assert_allclose(np.trace(probe), 1.0, atol=1e-13)
+            assert frob_norm(probe - probe.conj().T) < 1e-14
 
     def test_identity_basis_instantiation(self):
-        plus, minus = probe_states(np.eye(3), 1, 2, 0)
-        e = np.eye(3)
-        expected_plus = np.outer(e[:, 0], e[:, 0]) + 0.5 * (
-            np.outer(e[:, 1], e[:, 2]) + np.outer(e[:, 2], e[:, 1])
-        )
-        assert_allclose(plus, expected_plus, atol=0)
-        expected_minus = np.outer(e[:, 0], e[:, 0]) + (
-            np.outer(e[:, 1], e[:, 2]) - np.outer(e[:, 2], e[:, 1])
-        ) / 2j
-        assert_allclose(minus, expected_minus, atol=0)
-        # without an anchor the probes are the traceless cross terms alone
-        anchor = np.outer(e[:, 0], e[:, 0])
-        bare_plus, bare_minus = probe_states(np.eye(3), 1, 2)
-        assert_allclose(bare_plus, expected_plus - anchor, atol=0)
-        assert_allclose(bare_minus, expected_minus - anchor, atol=0)
+        e = np.eye(4)
+        for (p, q), r in [((1, 2), 0), ((0, 2), 1), ((1, 0), 2)]:
+            expected = np.outer(e[:, r], e[:, r]) + 0.5 * (
+                np.outer(e[:, p], e[:, q]) + np.outer(e[:, q], e[:, p])
+            )
+            assert_allclose(probe_state(e, p, q), expected, atol=0)
 
     def test_plus_spectrum(self):
         v = random_unitary(6, 24)
-        plus, _ = probe_states(v, 2, 4, 1)
-        evals = np.sort(np.linalg.eigvalsh(plus))
+        evals = np.sort(np.linalg.eigvalsh(probe_state(v, 2, 4)))
         assert_allclose(evals[-1], 1.0, atol=1e-13)
         assert_allclose(evals[-2], 0.5, atol=1e-13)
         assert_allclose(evals[0], -0.5, atol=1e-13)
         assert_allclose(evals[1:-2], 0.0, atol=1e-13)
 
+    def test_traceless_cross_term_at_n2(self):
+        v = random_unitary(2, 25)
+        probe = probe_state(v, 1, 0)
+        cross = np.outer(v[:, 1], v[:, 0].conj())
+        assert_allclose(probe, 0.5 * (cross + cross.conj().T), atol=0)
+        assert abs(np.trace(probe)) < 1e-15
+        assert_allclose(np.sort(np.linalg.eigvalsh(probe)), [-0.5, 0.5], atol=1e-15)
+
     def test_index_collisions(self):
         v = np.eye(4)
-        for bad in [(0, 0, 1), (0, 1, 0), (0, 1, 1)]:
+        for bad in [(0, 0), (3, 3), (0, 4), (4, 1), (-1, 2), (1, -4)]:
             with pytest.raises(ValueError):
-                probe_states(v, *bad)
+                probe_state(v, *bad)
 
 
 class TestExtractPhaseProduct:
@@ -377,16 +411,39 @@ class TestExtractPhaseProduct:
         with pytest.raises(ReconstructionError):
             extract_phase_product(oracle, random_unitary(4, 40), v, 0, 1)
 
-    @pytest.mark.parametrize(
-        "n, p, q, r",
-        [(2, 0, 1, 1), (2, 0, 1, 0), (3, 0, 3, None), (3, -1, 1, None), (3, 0, 1, 3), (3, 0, 1, 1)],
-    )
-    def test_bad_indices_rejected(self, n, p, q, r):
-        # at n == 2 no anchor fits, so an explicit r is rejected too
+    @pytest.mark.parametrize("n, p, q", [(3, 0, 3), (3, -1, 1)])
+    def test_bad_indices_rejected(self, n, p, q):
         oracle = ChannelOracle(np.eye(n))
         with pytest.raises(ValueError):
-            extract_phase_product(oracle, np.eye(n), np.eye(n), p, q, r)
+            extract_phase_product(oracle, np.eye(n), np.eye(n), p, q)
         assert oracle.queries == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_matches_two_probe_route(self, n):
+        rng = np.random.default_rng(60 + n)
+        u0 = random_unitary(n, 61 + n)
+        v = hermitian_eig(random_density(n, 62 + n)).eigenvectors
+        d = np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+        hidden = class_member(u0, v, d)
+        oracle, reference_oracle = ChannelOracle(hidden), ChannelOracle(hidden)
+        for q in range(1, n):
+            alpha = extract_phase_product(oracle, u0, v, 0, q)
+            expected = two_probe_phase_product(reference_oracle, u0, v, 0, q)
+            assert abs(alpha - expected) < 1e-12
+            assert np.float64(alpha.real).tobytes() == np.float64(expected.real).tobytes()
+        assert oracle.queries == reference_oracle.queries == 2 * (n - 1)
+
+    def test_both_queries_send_one_probe(self):
+        u0 = random_unitary(5, 63)
+        v = hermitian_eig(random_density(5, 64)).eigenvectors
+        oracle = RecordingOracle(u0)
+        extract_phase_product(oracle, u0, v, 3, 1)
+        first, second = oracle.states
+        assert first.tobytes() == second.tobytes()
+        assert first.tobytes() == probe_state(v, 3, 1).tobytes()
+        w = u0 @ (v[:, 3] + v[:, 1]) / np.sqrt(2.0)
+        w_i = u0 @ (v[:, 3] + 1j * v[:, 1]) / np.sqrt(2.0)
+        assert_allclose(oracle.observables, [np.outer(w, w.conj()), np.outer(w_i, w_i.conj())], atol=0)
 
     def test_equal_indices_rejected(self):
         v = np.eye(3)
@@ -452,6 +509,14 @@ class TestReconstruct:
         oracle = ChannelOracle(hidden)
         with pytest.raises(ReconstructionError):
             reconstruct(oracle, random_density(6, 51), SolverConfig(max_iters=3, tol=1e-28))
+
+    def test_channel_evaluations_per_stage(self):
+        # one for tomography, one per phase, five for verification
+        n = 8
+        oracle = EvaluationCountingOracle(random_unitary(n, 65))
+        rep = reconstruct(oracle, random_density(n, 66))
+        assert rep.budget_used == n * n + n + 2 * (n - 1)
+        assert oracle.evaluations == 1 + (n - 1) + 5
 
     def test_budget_ceiling_across_sizes(self):
         for n in (2, 3, 5):
