@@ -32,10 +32,10 @@ DENSITY_SHIFT = 1e-3
 
 
 def square(a) -> np.ndarray:
-    """Coerce input to a square complex128 matrix."""
+    """Coerce input to a nonempty square complex128 matrix."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     return m
 
 

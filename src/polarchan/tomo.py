@@ -51,6 +51,8 @@ EIGENGAP_FLOOR = 1e-8
 ALPHA_UNIT_TOL = 1e-3
 # reconstruct's solver tolerance: ~4 digits of phase headroom below the solve default.
 RECONSTRUCT_TOL = 1e-28
+# Seed of the five random test states reconstruct checks its result on.
+CHECK_SEED = 0
 
 
 class DegenerateStateError(ValueError):
@@ -59,6 +61,20 @@ class DegenerateStateError(ValueError):
 
 class ReconstructionError(RuntimeError):
     """Channel reconstruction failed (solver did not converge, or phases inconsistent)."""
+
+
+def _check_indices(indices, n: int) -> None:
+    """Raise ValueError naming the first index that is not an integer (bools
+    excluded: numpy reads them as masks) in range(n)."""
+    try:
+        for k in indices:
+            if type(k) is bool or not 0 <= operator.index(k) < n:
+                break
+        else:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"index {k!r} is not an integer in range({n})")
 
 
 class ChannelOracle:
@@ -131,11 +147,7 @@ class ChannelOracle:
             rows, cols, weights = entries
             if not len(rows) == len(cols) == len(weights):
                 raise ValueError("entries need rows, cols and weights of equal length")
-            n = self._u.shape[0]
-            for k in (*rows, *cols):
-                # a bool passes operator.index, but numpy reads it as a mask
-                if type(k) is bool or not 0 <= operator.index(k) < n:
-                    raise ValueError(f"entry index {k!r} is not an integer in range({n})")
+            _check_indices((*rows, *cols), self._u.shape[0])
             out = self.apply(state)
             value = 0
             for r, c, w in zip(rows, cols, weights):
@@ -182,8 +194,9 @@ def probe_state(v, p: int, q: int) -> np.ndarray:
     """
     v = square(v)
     n = v.shape[0]
-    if p == q or not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"probe indices must be distinct columns in range({n}), got {(p, q)}")
+    _check_indices((p, q), n)
+    if p == q:
+        raise ValueError(f"probe indices must be distinct columns, got {(p, q)}")
     cross = np.outer(v[:, p], v[:, q].conj())
     plus = 0.5 * (cross + cross.conj().T)
     if n == 2:
@@ -244,7 +257,6 @@ def reconstruct(
     oracle: ChannelOracle,
     rho0,
     solver_config: SolverConfig | None = None,
-    check_seed: int = 0,
 ) -> ReconstructionReport:
     """Recover the hidden unitary from one non-degenerate probe state.
 
@@ -291,7 +303,7 @@ def reconstruct(
     budget_used = oracle.queries - start
 
     worst = 0.0
-    for s in np.random.SeedSequence(check_seed).generate_state(5):
+    for s in np.random.SeedSequence(CHECK_SEED).generate_state(5):
         rho_t = random_density(n, int(s))
         resid = frob_norm(oracle.apply(rho_t) - u_recovered @ rho_t @ u_recovered.conj().T)
         worst = max(worst, resid)

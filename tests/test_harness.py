@@ -200,12 +200,17 @@ class TestCmdReconstruct:
     def test_report_accounts_for_its_solve(self, tmp_path):
         out = tmp_path / "run"
         assert main(["reconstruct", "--circuit", "example2", "--seed", "3", "--out", str(out)]) == 0
-        doc = json.loads((out / "report.json").read_text())
+        record = json.loads((out / "report.json").read_text())["solve"]
         lib = reconstruct(ChannelOracle(build_example2_circuit()), random_density(8, 3)).solve
-        assert doc["solver_status"] == lib.status == "converged-tol"
-        assert doc["iterations"] == len(lib.trace) - 1 > 0
-        assert doc["singular_steps"] == lib.singular_steps == 0
-        assert not [key for key in doc if "time" in key]
+        assert record["status"] == lib.status == "converged-tol"
+        assert record["iterations"] == len(lib.trace) - 1 > 0
+        assert record["singular_steps"] == lib.singular_steps == 0
+        assert record["final_objective"] == float(lib.trace.objective[-1])
+        assert not [key for key in record if "time" in key]
+        # the same record as solve's summary, less its wall time
+        assert main(["solve", "--n", "3", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(record) == [key for key in summary if key != "wall_time_s"]
 
     def test_cli_matches_library_default_config(self, tmp_path):
         # the CLI's reconstruct base and the library default share one tolerance
@@ -264,6 +269,9 @@ class TestExitCodeTable:
             (["reconstruct", "--circuit", "example2", "--out", below_file], 1),
             (["repro-ex1", "--seed", "-1"], 1),
             (["repro-ex2", "--seed", "-1"], 1),
+            (["solve", "--n", "abc"], 1),
+            (["solve", "--bogus"], 1),
+            (["reconstruct", "--circuit", "example2", "--in", str(tmp_path / "nope.json")], 1),
         ]
         for k, (argv, expected) in enumerate(table):
             if "--out" not in argv:

@@ -220,3 +220,5 @@ class TestRandomDensity:
 def test_square_rejects_nonsquare():
     with pytest.raises(ValueError):
         matkit.square(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        matkit.square(np.zeros((0, 0)))

@@ -100,6 +100,10 @@ class TestChannelOracle:
         with pytest.raises(ValueError):
             ChannelOracle(np.diag([1.0, 2.0]))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ChannelOracle(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_hidden_matrix(self, bad):
         u = np.eye(3, dtype=complex)
@@ -190,10 +194,11 @@ class TestChannelOracle:
             {},
             {"entries": ((True, 0), (2, 1), (0.5, 0.5))},  # numpy would read True as a mask
             {"entries": ((2, 1), (False, 0), (0.5, 0.5))},
+            {"entries": ((1.0,), (1,), (1.0,))},
         ],
         ids=["negative-row", "negative-col", "col-too-large", "row-too-large",
              "short-cols", "short-weights", "both-forms", "neither-form",
-             "bool-row", "bool-col"],
+             "bool-row", "bool-col", "float-row"],
     )
     def test_bad_entries_rejected_before_counting(self, kwargs):
         oracle = ChannelOracle(random_unitary(3, 34))
@@ -354,7 +359,7 @@ class TestProbeStates:
 
     def test_index_collisions(self):
         v = np.eye(4)
-        for bad in [(0, 0), (3, 3), (0, 4), (4, 1), (-1, 2), (1, -4)]:
+        for bad in [(0, 0), (3, 3), (0, 4), (4, 1), (-1, 2), (1, -4), (True, 2), (1.0, 2)]:
             with pytest.raises(ValueError):
                 probe_state(v, *bad)
 
@@ -411,7 +416,7 @@ class TestExtractPhaseProduct:
         with pytest.raises(ReconstructionError):
             extract_phase_product(oracle, random_unitary(4, 40), v, 0, 1)
 
-    @pytest.mark.parametrize("n, p, q", [(3, 0, 3), (3, -1, 1)])
+    @pytest.mark.parametrize("n, p, q", [(3, 0, 3), (3, -1, 1), (3, True, 2), (3, 1.0, 2)])
     def test_bad_indices_rejected(self, n, p, q):
         oracle = ChannelOracle(np.eye(n))
         with pytest.raises(ValueError):
