@@ -200,13 +200,14 @@ class TestCmdReconstruct:
     def test_report_accounts_for_its_solve(self, tmp_path):
         out = tmp_path / "run"
         assert main(["reconstruct", "--circuit", "example2", "--seed", "3", "--out", str(out)]) == 0
-        record = json.loads((out / "report.json").read_text())["solve"]
+        doc = json.loads((out / "report.json").read_text())
+        record = doc["solve"]
         lib = reconstruct(ChannelOracle(build_example2_circuit()), random_density(8, 3)).solve
         assert record["status"] == lib.status == "converged-tol"
         assert record["iterations"] == len(lib.trace) - 1 > 0
         assert record["singular_steps"] == lib.singular_steps == 0
         assert record["final_objective"] == float(lib.trace.objective[-1])
-        assert not [key for key in record if "time" in key]
+        assert not [key for key in doc if "time" in key]
         # the same record as solve's summary, less its wall time
         assert main(["solve", "--n", "3", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
