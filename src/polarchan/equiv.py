@@ -35,7 +35,7 @@ class DiagonalRelation:
 
 
 class PivotError(ValueError):
-    """Pivot entry too small to normalize by; retry with pivot='max-modulus-entry'."""
+    """No pivot entry is large enough in both matrices to normalize by."""
 
 
 def relation_matrix(u1, u2, v) -> DiagonalRelation:
@@ -63,25 +63,22 @@ def normalized_diff(u, uprime, pivot: str = "entry11") -> float:
     """Frobenius distance between the two matrices after each is scaled by a
     pivot entry, cancelling any global phase (and scale) difference.
 
-    pivot='entry11' divides each matrix by its own (0, 0) entry; the
-    'max-modulus-entry' variant pivots both matrices on the position of the
-    first matrix's largest-modulus entry, for when entry (0, 0) is tiny.
+    Both matrices pivot on the position of the first matrix's largest-modulus
+    entry; pivot='entry11' pivots on entry (0, 0) instead whenever that entry
+    clears PIVOT_TOL in both. PivotError means the chosen pivot is tiny in
+    one of the two matrices.
     """
     u = square(u)
     up = square(uprime)
     if u.shape != up.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {up.shape}")
-    if pivot == "entry11":
-        i = j = 0
-    elif pivot == "max-modulus-entry":
-        i, j = np.unravel_index(int(np.argmax(np.abs(u))), u.shape)
-    else:
+    if pivot not in ("entry11", "max-modulus-entry"):
         raise ValueError(f"unknown pivot {pivot!r}")
+    i = j = 0
+    if pivot == "max-modulus-entry" or min(abs(u[0, 0]), abs(up[0, 0])) <= PIVOT_TOL:
+        i, j = np.unravel_index(int(np.argmax(np.abs(u))), u.shape)
     p = complex(u[i, j])
     pp = complex(up[i, j])
     if min(abs(p), abs(pp)) <= PIVOT_TOL:
-        raise PivotError(
-            f"pivot entry ({i},{j}) has modulus {min(abs(p), abs(pp)):.2e}; "
-            "use pivot='max-modulus-entry'"
-        )
+        raise PivotError(f"pivot entry ({i},{j}) has modulus {min(abs(p), abs(pp)):.2e}")
     return frob_norm(u / p - up / pp)

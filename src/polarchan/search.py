@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import _check_hermitian, frob_norm, poldec, random_unitary, skew_part, square
+from .matkit import _check_hermitian, frob_norm, herm_part, poldec, random_unitary, skew_part, square
 
 __all__ = [
     "ChannelInstance",
@@ -46,7 +46,7 @@ _SINGULAR_RTOL = 1e-14
 def _validated_state(m, label: str) -> np.ndarray:
     m = square(m)
     _check_hermitian(m, label)
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    evals = np.linalg.eigvalsh(herm_part(m))
     if evals[0] <= -1e-10 * max(abs(evals[-1]), 1e-300):
         raise ValueError(f"{label} is not positive semidefinite within 1e-10")
     return m

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a pass/fail
-line. Run with ``pytest tests/test_acceptance.py -s`` to see the lines live.
+line, then second-order tests of the solver's answers. Run with
+``pytest tests/test_acceptance.py -s`` to see the lines live.
 """
 
 import json
@@ -19,9 +20,11 @@ from polarchan.matkit import (
 )
 from polarchan.search import (
     STATUS_CONVERGED_TOL,
+    STATUS_MAX_ITERS,
     ChannelInstance,
     SolverConfig,
     neg_gradient,
+    objective,
     residual,
     solve,
 )
@@ -279,4 +282,136 @@ def test_criterion_11_tomography_exactness():
         "state tomography equals direct channel output to 1e-12 using exactly n^2+n queries",
         worst_entry < 1e-12 and budgets_ok,
         f"{cases} cases, worst entry error {worst_entry:.3e}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# second order: the Riemannian Hessian certifies the paper's three claims
+# ---------------------------------------------------------------------------
+
+def skew_basis(n):
+    """Orthonormal basis, under Re<X, Y>, of the n x n skew-Hermitian matrices."""
+    basis = []
+    for j in range(n):
+        for k in range(j, n):
+            for value in (1j,) if j == k else (1.0, 1j):
+                e = np.zeros((n, n), complex)
+                e[j, k], e[k, j] = value, -np.conj(value)
+                basis.append(e if j == k else e / np.sqrt(2.0))
+    return np.array(basis)
+
+
+def hessian(u, pairs):
+    """n^2 x n^2 matrix over skew_basis of the quadratic form
+    q(Y) = sum_i ||[Y, A_i]||^2 - Re<sigma_i - A_i, [Y, [Y, A_i]]>, A_i = U rho_i U*:
+    the second derivative of the summed objective along U exp(tX), Y = U X U*."""
+    n = u.shape[0]
+    ys = skew_basis(n)
+    h = np.zeros((n * n, n * n))
+    for rho, sigma in pairs:
+        a = u @ rho @ u.conj().T
+        s = sigma - a
+        c = (ys @ a - a @ ys).reshape(n * n, -1)  # rows [Y_k, A]
+        g = (s @ ys - ys @ s).transpose(0, 2, 1).reshape(n * n, -1)  # rows [S, Y_k]^T
+        # Re<S, [Y, C]> = Re tr([S, Y] C), symmetrized over the two basis elements
+        m = np.real(g @ c.T)
+        h += np.real(c.conj() @ c.T) - 0.5 * (m + m.T)
+    return h
+
+
+def expm_skew(x):
+    """exp(X) for skew-Hermitian X, from eigh of the Hermitian iX."""
+    w, v = np.linalg.eigh(1j * x)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def second_order(desc, ok, detail):
+    line = f"[second order] {desc}: {'PASS' if ok else 'FAIL'}  ({detail})"
+    print(line)
+    assert ok, line
+
+
+def null_count(w, rel=1e-10):
+    return int(np.count_nonzero(np.abs(w) <= rel * w[-1]))
+
+
+def test_hessian_matches_second_finite_difference():
+    # fourth-order central second difference of the summed objective along U exp(tX)
+    rng = np.random.default_rng(2024)
+    h = 1e-3
+    worst = 0.0
+    for k in range(4):
+        n = 3 + k
+        seed = 50 * k
+        pairs = [(random_density(n, seed + j), random_density(n, seed + j + 10)) for j in range(3)]
+        u = random_unitary(n, seed + 20)
+        hess = hessian(u, pairs)
+        coords = rng.standard_normal(n * n)
+        x = u.conj().T @ np.tensordot(coords, skew_basis(n), axes=1) @ u
+
+        def f(t):
+            v = u @ expm_skew(t * x)
+            return sum(objective(v, pair) for pair in pairs)
+
+        fd = (-f(2 * h) + 16 * f(h) - 30 * f(0.0) + 16 * f(-h) - f(-2 * h)) / (12 * h * h)
+        q = coords @ hess @ coords
+        worst = max(worst, abs(fd - q) / abs(q))
+    second_order(
+        "Hessian quadratic form matches a second finite difference along U exp(tX), n in 3..6",
+        worst < 1e-6,
+        f"worst relative error {worst:.3e}",
+    )
+
+
+def test_single_pair_hessian_spectrum_closed_form():
+    # at the answer of an exact single pair the Hessian is the Gram matrix of
+    # [Y, sigma]: eigenvalues (l_j - l_k)^2 twice per j < k, plus n zeros (the class)
+    ok = True
+    worst = 0.0
+    for n in (4, 8, 12):
+        hidden, inst = exact_instance(n, 600 + n)
+        w = np.linalg.eigvalsh(hessian(hidden, inst.pairs))
+        lam = np.linalg.eigvalsh(inst.pairs[0][0])
+        diffs = np.subtract.outer(lam, lam)[np.triu_indices(n, 1)] ** 2
+        expected = np.sort(np.concatenate([np.zeros(n), diffs, diffs]))
+        smallest = w[null_count(w)]
+        ok &= null_count(w) == n and np.allclose(w, expected, rtol=0, atol=1e-12 * w[-1])
+        worst = max(worst, abs(smallest / np.min(np.diff(lam)) ** 2 - 1.0))
+    second_order(
+        "exact single pair: n null eigenvalues, smallest nonzero = (min eigengap)^2, n in {4,8,12}",
+        ok and worst < 1e-8,
+        f"worst relative error of the smallest nonzero eigenvalue {worst:.3e}",
+    )
+
+
+def test_multi_pair_hessian_has_one_null_eigenvalue():
+    # exact pairs at the hidden unitary, and mixed-noise pairs at the solve's answer
+    hidden, inst = exact_instance(6, 700, n_pairs=2)
+    w_exact = np.linalg.eigvalsh(hessian(hidden, inst.pairs))
+    hidden, inst = exact_instance(8, 701, n_pairs=3)
+    noisy = ChannelInstance([
+        (rho, 0.999 * sigma + 0.001 * random_density(8, 710 + k))
+        for k, (rho, sigma) in enumerate(inst.pairs)
+    ])
+    res = solve(noisy, SolverConfig(max_iters=5000))
+    w_noisy = np.linalg.eigvalsh(hessian(res.u_hat, noisy.pairs))
+    second_order(
+        "generic multi-pair instance: one null eigenvalue (the global phase), exact and noisy",
+        null_count(w_exact) == 1 and null_count(w_noisy) == 1
+        and res.status != STATUS_MAX_ITERS and w_noisy[0] >= -1e-10 * w_noisy[-1],
+        f"exact n=6 P=2 second eigenvalue {w_exact[1]:.3e}; noisy n=8 P=3 {res.status}, "
+        f"second eigenvalue {w_noisy[1]:.3e}",
+    )
+
+
+def test_converged_solves_are_local_minima(monotone_sweep, example1_run):
+    runs = [run for run in [*monotone_sweep, example1_run] if run[1].status != STATUS_MAX_ITERS]
+    worst = 0.0
+    for inst, res in runs:
+        w = np.linalg.eigvalsh(hessian(res.u_hat, inst.pairs))
+        worst = min(worst, w[0] / w[-1])
+    second_order(
+        "converged solves of criterion 01's sweep and example 1: no eigenvalue below -1e-10 max",
+        len(runs) > 1 and worst >= -1e-10,
+        f"{len(runs)} converged solves, worst min/max eigenvalue ratio {worst:.3e}",
     )

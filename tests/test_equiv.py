@@ -102,10 +102,18 @@ class TestNormalizedDiff:
         assert normalized_diff(u, mu * u, pivot="max-modulus-entry") < 1e-12
 
     def test_small_pivot_raises(self):
+        # entry (0, 0) of the swap matrix is zero, so entry11 falls back to
+        # the max-modulus pivot; only a tiny second pivot still raises
         u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(PivotError):
-            normalized_diff(u, u, pivot="entry11")
-        assert normalized_diff(u, u, pivot="max-modulus-entry") < 1e-15
+        mu = np.exp(0.4j)
+        for pivot in ("entry11", "max-modulus-entry"):
+            assert normalized_diff(u, mu * u, pivot=pivot) < 1e-15
+            with pytest.raises(PivotError, match=r"pivot entry \(0,1\)"):
+                normalized_diff(u, np.eye(2), pivot=pivot)
+        v = random_unitary(4, 29)
+        w = v.copy()
+        w[0, 0] = 1e-13
+        assert normalized_diff(v, w) == normalized_diff(v, w, pivot="max-modulus-entry")
 
     def test_unknown_pivot(self):
         with pytest.raises(ValueError):

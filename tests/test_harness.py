@@ -264,6 +264,10 @@ class TestExitCodeTable:
             (["solve", "--n", "4", "--out", below_file], 1),
             (["solve", "--n", "4", "--stall-tol", "nan"], 1),
             (["solve", "--n", "4", "--tol", "inf"], 1),
+            (["solve", "--in", str(ok_inst), "--n", "7", "--pairs", "4"], 1),
+            (["solve", "--in", str(ok_inst), "--pairs", "1"], 1),
+            (["solve", "--n", "0"], 1),
+            (["solve", "--pairs", "0"], 1),
             (["reconstruct", "--in", str(id_mat), "--seed", "1"], 0),
             (["reconstruct", "--in", str(bad_inst)], 1),
             (["reconstruct", "--circuit", "example2", "--force-degenerate"], 1),
