@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .equiv import normalized_diff
-from .matkit import _relative_eigengap, random_density, random_unitary, square
+from .matkit import _child_seeds, _relative_eigengap, random_density, random_unitary, square
 from .search import STATUS_MAX_ITERS, ChannelInstance, IterationTrace, SolverConfig, solve
 from .tomo import RECONSTRUCT_TOL, ChannelOracle, ReconstructionError, reconstruct
 
@@ -36,6 +36,10 @@ TRACE_HEADER = "iter,objective,step_norm,residual"
 # tighter spectra make the recovered phases disproportionately noisy.
 EX2_GAP_FLOOR = 5e-3
 EX2_RUNS = 20
+
+# the canned experiments' fixed solver setups: iteration caps, tol well below the caps' reach
+EX1_SOLVER = SolverConfig(max_iters=1000, tol=1e-30)
+EX2_SOLVER = SolverConfig(max_iters=2000, tol=RECONSTRUCT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +142,6 @@ def resolve_seed(flag_value: int | None) -> int:
     return seed
 
 
-def _child_seeds(seed: int, count: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
-
-
 def generate_exact_instance(n: int, n_pairs: int, seed: int):
     """Hidden random unitary plus consistent (rho, U rho U*) pairs, all from one seed."""
     seeds = _child_seeds(seed, n_pairs + 1)
@@ -179,7 +179,9 @@ def _solve_record(result) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+def cmd_solve(args: argparse.Namespace, out: Path) -> int:
+    flags = {k: getattr(args, k) for k in ("max_iters", "tol", "stall_tol")}
+    solver = SolverConfig(**{k: v for k, v in flags.items() if v is not None})
     if args.input_path is not None:
         if args.n is not None or args.pairs is not None:
             raise ValueError("solve takes either --in <instance.json> or --n/--pairs, not both")
@@ -202,14 +204,14 @@ def cmd_solve(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
     return 0 if result.status != STATUS_MAX_ITERS else 2
 
 
-def _reconstruct_once(hidden, rho0, solver):
+def _reconstruct_once(hidden, rho0, solver=None):
     oracle = ChannelOracle(hidden)
     report = reconstruct(oracle, rho0, solver)
     diff = normalized_diff(report.u_recovered, hidden)
     return report, diff
 
 
-def cmd_reconstruct(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+def cmd_reconstruct(args: argparse.Namespace, out: Path) -> int:
     if (args.circuit is None) == (args.input_path is None):
         raise ValueError("reconstruct needs exactly one of --in <matrix.json> and --circuit example2")
     if args.circuit == "example2":
@@ -217,11 +219,7 @@ def cmd_reconstruct(args: argparse.Namespace, solver: SolverConfig, out: Path) -
     else:
         hidden = read_matrix_file(args.input_path)
     n = hidden.shape[0]
-    if args.force_degenerate:
-        rho0 = np.eye(n, dtype=np.complex128) / n
-    else:
-        rho0 = random_density(n, args.seed)
-    report, diff = _reconstruct_once(hidden, rho0, solver)
+    report, diff = _reconstruct_once(hidden, random_density(n, args.seed))
 
     doc = {
         "u0": matrix_to_obj(report.u0),
@@ -244,12 +242,12 @@ def cmd_reconstruct(args: argparse.Namespace, solver: SolverConfig, out: Path) -
     return 0
 
 
-def cmd_repro_ex1(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+def cmd_repro_ex1(args: argparse.Namespace, out: Path) -> int:
     seeds = _child_seeds(args.seed, 2)
     summary = {}
     for name, n_pairs, child in (("single", 1, seeds[0]), ("multi", 20, seeds[1])):
         _, instance = generate_exact_instance(10, n_pairs, child)
-        result = solve(instance, solver)
+        result = solve(instance, EX1_SOLVER)
         _write_trace(out / f"ex1_{name}_trace.csv", result.trace)
         summary[name] = {"pairs": n_pairs, **_solve_record(result)}
         print(
@@ -261,7 +259,7 @@ def cmd_repro_ex1(args: argparse.Namespace, solver: SolverConfig, out: Path) -> 
     return 0
 
 
-def _ex2_run(k: int, base_seed: int, solver: SolverConfig):
+def _ex2_run(k: int, base_seed: int):
     """(probe seed, report, normalized diff) of the first of 64 seeded probe
     states whose eigengap clears EX2_GAP_FLOOR and whose reconstruction succeeds.
     A probe that clears the floor can still hit the iteration cap: two close
@@ -270,20 +268,20 @@ def _ex2_run(k: int, base_seed: int, solver: SolverConfig):
     hidden = build_example2_circuit()
     last_exc = None
     for attempt in range(64):
-        seed = int(np.random.SeedSequence([base_seed, attempt]).generate_state(1)[0])
+        seed = _child_seeds([base_seed, attempt], 1)[0]
         rho0 = random_density(8, seed)
         if _relative_eigengap(np.linalg.eigvalsh(rho0)) < EX2_GAP_FLOOR:
             continue
         try:
-            return (seed, *_reconstruct_once(hidden, rho0, solver))
+            return (seed, *_reconstruct_once(hidden, rho0, EX2_SOLVER))
         except ReconstructionError as exc:
             last_exc = exc
     raise ReconstructionError(f"run {k}: no candidate probe state converged: {last_exc}")
 
 
-def cmd_repro_ex2(args: argparse.Namespace, solver: SolverConfig, out: Path) -> int:
+def cmd_repro_ex2(args: argparse.Namespace, out: Path) -> int:
     run_seeds = _child_seeds(args.seed, EX2_RUNS)
-    seeds, reports, diffs = zip(*(_ex2_run(k, run_seeds[k], solver) for k in range(EX2_RUNS)))
+    seeds, reports, diffs = zip(*(_ex2_run(k, run_seeds[k]) for k in range(EX2_RUNS)))
     records = [_solve_record(report.solve) for report in reports]
 
     with open(out / "ex2_diffs.csv", "w", encoding="utf-8") as fh:
@@ -313,23 +311,13 @@ def cmd_repro_ex2(args: argparse.Namespace, solver: SolverConfig, out: Path) -> 
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_command(sub, name: str, run, help: str, **solver_base) -> argparse.ArgumentParser:
-    """Register one command with the shared flags; ``solver_base`` holds the
-    ``SolverConfig`` fields that differ from its defaults, which flags override."""
+def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """Register one command with the shared flags --seed and --out."""
     sp = sub.add_parser(name, help=help)
     sp.add_argument("--seed", type=int, default=None, help="seed (default: POLARCHAN_SEED or 0)")
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--max-iters", type=int, default=None, help="iteration cap")
-    sp.add_argument("--tol", type=float, default=None, help="objective termination threshold")
-    sp.add_argument("--stall-tol", type=float, default=None, help="update-norm stall threshold")
-    sp.add_argument(
-        "--init", choices=("identity", "random"), default=None, help="solver start point"
-    )
-    sp.set_defaults(run=run, **solver_base)
+    sp.set_defaults(run=run)
     return sp
-
-
-_SOLVER_FLAGS = ("max_iters", "tol", "stall_tol", "init")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -353,41 +341,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None, help="generated matrix dimension (default 10)")
     sp.add_argument("--pairs", type=int, default=None, help="generated state pairs (default 1)")
     sp.add_argument("--in", dest="input_path", default=None, help="instance JSON file")
+    sp.add_argument("--max-iters", type=int, default=None, help="iteration cap")
+    sp.add_argument("--tol", type=float, default=None, help="objective termination threshold")
+    sp.add_argument("--stall-tol", type=float, default=None, help="update-norm stall threshold")
 
     sp = _add_command(
-        sub, "reconstruct", cmd_reconstruct, "recover a hidden channel within the query budget",
-        tol=RECONSTRUCT_TOL,
+        sub, "reconstruct", cmd_reconstruct, "recover a hidden channel within the query budget"
     )
     sp.add_argument("--in", dest="input_path", default=None, help="hidden unitary matrix JSON file")
     sp.add_argument("--circuit", choices=("example2",), default=None, help="built-in hidden circuit")
-    sp.add_argument(
-        "--force-degenerate",
-        action="store_true",
-        help="probe with a fully degenerate state (error-path check)",
-    )
 
-    # canned experiment setups: fixed iteration caps, tol well below the caps' reach
-    _add_command(
-        sub, "repro-ex1", cmd_repro_ex1, "single-pair and 20-pair n=10 solver traces",
-        max_iters=1000, tol=1e-30,
-    )
-    _add_command(
-        sub, "repro-ex2", cmd_repro_ex2, "20 reconstructions of the 8x8 benchmark circuit",
-        max_iters=2000, tol=RECONSTRUCT_TOL,
-    )
+    _add_command(sub, "repro-ex1", cmd_repro_ex1, "single-pair and 20-pair n=10 solver traces")
+    _add_command(sub, "repro-ex2", cmd_repro_ex2, "20 reconstructions of the 8x8 benchmark circuit")
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        solver = SolverConfig(
-            **{k: getattr(args, k) for k in _SOLVER_FLAGS if getattr(args, k) is not None}
-        )
         args.seed = resolve_seed(args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.run(args, solver, out)
+        return args.run(args, out)
     except (OSError, ValueError, RuntimeError) as exc:
         # typed library errors land here too: DegenerateStateError is a
         # ValueError and ReconstructionError a RuntimeError

@@ -126,6 +126,12 @@ def poldec(a) -> PolarFactors:
     return PolarFactors(unitary=w @ vh, singular_values=s)
 
 
+def _child_seeds(entropy, count: int) -> list[int]:
+    """``count`` independent integer seeds drawn from ``entropy`` (an int or a
+    sequence of ints) by numpy's ``SeedSequence``."""
+    return [int(s) for s in np.random.SeedSequence(entropy).generate_state(count)]
+
+
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Seeded random unitary: polar factor of a complex Gaussian matrix."""
     if n < 1:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkit import (
+    _child_seeds,
     _relative_eigengap,
     frob_norm,
     hermitian_eig,
@@ -303,8 +304,8 @@ def reconstruct(
     budget_used = oracle.queries - start
 
     worst = 0.0
-    for s in np.random.SeedSequence(CHECK_SEED).generate_state(5):
-        rho_t = random_density(n, int(s))
+    for s in _child_seeds(CHECK_SEED, 5):
+        rho_t = random_density(n, s)
         resid = frob_norm(oracle.apply(rho_t) - u_recovered @ rho_t @ u_recovered.conj().T)
         worst = max(worst, resid)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from polarchan import harness
 from polarchan.harness import (
     build_example2_circuit,
     build_parser,
@@ -18,6 +19,11 @@ from polarchan.harness import (
 from polarchan.matkit import random_density, random_unitary, unitarity_defect
 from polarchan.search import SolverConfig, solve
 from polarchan.tomo import RECONSTRUCT_TOL, ChannelOracle, reconstruct
+
+
+def degenerate_density(n, seed):
+    """Stands in for harness.random_density: the fully degenerate probe I/n."""
+    return np.eye(n, dtype=complex) / n
 
 
 class TestCircuitAndGates:
@@ -175,18 +181,22 @@ class TestCmdReconstruct:
         report = json.loads((out / "report.json").read_text())
         assert report["normalized_diff"] < 1e-10
 
-    def test_degenerate_flag_exits_1(self, tmp_path, capsys):
-        code = main(["reconstruct", "--circuit", "example2", "--force-degenerate", "--out", str(tmp_path / "o")])
+    def test_degenerate_probe_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "random_density", degenerate_density)
+        code = main(["reconstruct", "--circuit", "example2", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "degenerate state" in capsys.readouterr().err
 
-    def test_non_unitary_input_exits_1(self, tmp_path, capsys):
+    def test_non_unitary_input_exits_1(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.json"
         write_matrix_file(path, np.diag([1.0, 2.0]))
-        for extra in ([], ["--force-degenerate"]):
-            assert main(["reconstruct", "--in", str(path), "--out", str(tmp_path / "o"), *extra]) == 1
+        # the non-unitary error comes first, also when the probe is degenerate
+        for degenerate in (False, True):
+            if degenerate:
+                monkeypatch.setattr(harness, "random_density", degenerate_density)
+            assert main(["reconstruct", "--in", str(path), "--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
-            assert err == "error: hidden channel matrix is not unitary within 1e-10\n", (extra, err)
+            assert err == "error: hidden channel matrix is not unitary within 1e-10\n", (degenerate, err)
 
     def test_missing_source_exits_1(self, tmp_path):
         assert main(["reconstruct", "--out", str(tmp_path / "o")]) == 1
@@ -214,23 +224,22 @@ class TestCmdReconstruct:
         assert list(record) == [key for key in summary if key != "wall_time_s"]
 
     def test_cli_matches_library_default_config(self, tmp_path):
-        # the CLI's reconstruct base and the library default share one tolerance
+        # the CLI's reconstruct runs the library default, and repro-ex2 its tolerance
         out = tmp_path / "run"
         assert main(["reconstruct", "--circuit", "example2", "--seed", "8", "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
         lib = reconstruct(ChannelOracle(build_example2_circuit()), random_density(8, 8))
         assert doc["u0"] == matrix_to_obj(lib.u0)
         assert doc["u_recovered"] == matrix_to_obj(lib.u_recovered)
-        for command in ("reconstruct", "repro-ex2"):
-            assert build_parser().parse_args([command]).tol == RECONSTRUCT_TOL, command
+        assert harness.EX2_SOLVER.tol == RECONSTRUCT_TOL
 
 
 class TestCliSurface:
     def test_option_strings_per_command(self):
-        shared = {"-h", "--help", "--seed", "--out", "--max-iters", "--tol", "--stall-tol", "--init"}
+        shared = {"-h", "--help", "--seed", "--out"}
         expected = {
-            "solve": shared | {"--n", "--pairs", "--in"},
-            "reconstruct": shared | {"--in", "--circuit", "--force-degenerate"},
+            "solve": shared | {"--n", "--pairs", "--in", "--max-iters", "--tol", "--stall-tol"},
+            "reconstruct": shared | {"--in", "--circuit"},
             "repro-ex1": shared,
             "repro-ex2": shared,
         }
@@ -243,7 +252,7 @@ class TestCliSurface:
 
 
 class TestExitCodeTable:
-    def test_contract(self, tmp_path, capsys):
+    def test_contract(self, tmp_path, capsys, monkeypatch):
         rho = random_density(3, 1)
         ok_inst = tmp_path / "ok.json"
         write_instance_file(ok_inst, [(rho, rho)])
@@ -270,13 +279,18 @@ class TestExitCodeTable:
             (["solve", "--pairs", "0"], 1),
             (["reconstruct", "--in", str(id_mat), "--seed", "1"], 0),
             (["reconstruct", "--in", str(bad_inst)], 1),
-            (["reconstruct", "--circuit", "example2", "--force-degenerate"], 1),
             (["reconstruct", "--circuit", "example2", "--out", below_file], 1),
             (["repro-ex1", "--seed", "-1"], 1),
             (["repro-ex2", "--seed", "-1"], 1),
             (["solve", "--n", "abc"], 1),
             (["solve", "--bogus"], 1),
             (["reconstruct", "--circuit", "example2", "--in", str(tmp_path / "nope.json")], 1),
+            # only solve takes solver flags and no command takes --init: each of
+            # these exits 0 without its last flag
+            (["reconstruct", "--circuit", "example2", "--tol", "1e-3"], 1),
+            (["repro-ex1", "--max-iters", "5"], 1),
+            (["repro-ex2", "--stall-tol", "0"], 1),
+            (["solve", "--init", "random"], 1),
         ]
         for k, (argv, expected) in enumerate(table):
             if "--out" not in argv:
@@ -285,6 +299,11 @@ class TestExitCodeTable:
             err = capsys.readouterr().err
             if expected == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        # a degenerate probe state is a typed library error
+        monkeypatch.setattr(harness, "random_density", degenerate_density)
+        assert main(["reconstruct", "--circuit", "example2", "--out", str(tmp_path / "degenerate")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate state") and err.count("\n") == 1, err
 
     def test_negative_flag_seed_names_its_source(self, tmp_path, capsys):
         assert main(["repro-ex1", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
