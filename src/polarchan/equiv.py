@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import frob_norm, square
+from .matkit import _check_tolerance, frob_norm, square
 
 __all__ = [
     "DiagonalRelation",
@@ -53,6 +53,7 @@ def relation_matrix(u1, u2, v) -> DiagonalRelation:
 
 def is_equiv_under(u1, u2, v, tol: float) -> bool:
     """True iff U1 = U2 V D V* holds within tol for some unimodular diagonal D."""
+    _check_tolerance(tol, "tol")
     rel = relation_matrix(u1, u2, v)
     if rel.offdiag_mass > tol:
         return False

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -128,20 +127,6 @@ def read_instance_file(path) -> list[tuple[np.ndarray, np.ndarray]]:
 # run plumbing
 # ---------------------------------------------------------------------------
 
-def resolve_seed(flag_value: int | None) -> int:
-    """Flag beats the POLARCHAN_SEED environment variable beats 0; a seed is nonnegative."""
-    source, seed = "--seed", flag_value
-    if seed is None:
-        source, env = "POLARCHAN_SEED", os.environ.get("POLARCHAN_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"POLARCHAN_SEED must be an integer, got {env!r}")
-    if seed < 0:
-        raise ValueError(f"{source} must be nonnegative, got {seed}")
-    return seed
-
-
 def generate_exact_instance(n: int, n_pairs: int, seed: int):
     """Hidden random unitary plus consistent (rho, U rho U*) pairs, all from one seed."""
     seeds = _child_seeds(seed, n_pairs + 1)
@@ -180,8 +165,7 @@ def _solve_record(result) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    flags = {k: getattr(args, k) for k in ("max_iters", "tol", "stall_tol")}
-    solver = SolverConfig(**{k: v for k, v in flags.items() if v is not None})
+    solver = SolverConfig(max_iters=args.max_iters, tol=args.tol, stall_tol=args.stall_tol)
     if args.input_path is not None:
         if args.n is not None or args.pairs is not None:
             raise ValueError("solve takes either --in <instance.json> or --n/--pairs, not both")
@@ -212,8 +196,6 @@ def _reconstruct_once(hidden, rho0, solver=None):
 
 
 def cmd_reconstruct(args: argparse.Namespace, out: Path) -> int:
-    if (args.circuit is None) == (args.input_path is None):
-        raise ValueError("reconstruct needs exactly one of --in <matrix.json> and --circuit example2")
     if args.circuit == "example2":
         hidden = build_example2_circuit()
     else:
@@ -314,7 +296,7 @@ def cmd_repro_ex2(args: argparse.Namespace, out: Path) -> int:
 def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
     """Register one command with the shared flags --seed and --out."""
     sp = sub.add_parser(name, help=help)
-    sp.add_argument("--seed", type=int, default=None, help="seed (default: POLARCHAN_SEED or 0)")
+    sp.add_argument("--seed", type=int, default=0, help="nonnegative seed (default 0)")
     sp.add_argument("--out", default=".", help="output directory")
     sp.set_defaults(run=run)
     return sp
@@ -341,15 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None, help="generated matrix dimension (default 10)")
     sp.add_argument("--pairs", type=int, default=None, help="generated state pairs (default 1)")
     sp.add_argument("--in", dest="input_path", default=None, help="instance JSON file")
-    sp.add_argument("--max-iters", type=int, default=None, help="iteration cap")
-    sp.add_argument("--tol", type=float, default=None, help="objective termination threshold")
-    sp.add_argument("--stall-tol", type=float, default=None, help="update-norm stall threshold")
+    sp.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, help="iteration cap")
+    sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="objective threshold")
+    sp.add_argument("--stall-tol", type=float, default=SolverConfig.stall_tol, help="stall threshold")
 
     sp = _add_command(
         sub, "reconstruct", cmd_reconstruct, "recover a hidden channel within the query budget"
     )
-    sp.add_argument("--in", dest="input_path", default=None, help="hidden unitary matrix JSON file")
-    sp.add_argument("--circuit", choices=("example2",), default=None, help="built-in hidden circuit")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="input_path", help="hidden unitary matrix JSON file")
+    source.add_argument("--circuit", choices=("example2",), help="built-in hidden circuit")
 
     _add_command(sub, "repro-ex1", cmd_repro_ex1, "single-pair and 20-pair n=10 solver traces")
     _add_command(sub, "repro-ex2", cmd_repro_ex2, "20 reconstructions of the 8x8 benchmark circuit")
@@ -359,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.seed = resolve_seed(args.seed)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.run(args, out)

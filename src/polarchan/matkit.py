@@ -9,6 +9,8 @@ dataclasses and safe to share between threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +64,32 @@ def skew_part(a) -> np.ndarray:
     return (a - a.conj().T) / 2.0
 
 
+def _entry_scale(a: np.ndarray) -> float:
+    """Largest |Re| or |Im| over the entries of a finite complex matrix: within
+    a factor sqrt(2) of its largest entry modulus, and never overflowing."""
+    return float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+
+
 def _check_hermitian(a: np.ndarray, label: str) -> None:
-    """Raise ValueError unless a is finite and ||a - a*||_F <= 1e-10 ||a||_F."""
+    """Raise ValueError unless a is finite and ||a - a*||_F <= 1e-10 ||a||_F,
+    compared on a scaled to unit entry scale so that neither norm over- or underflows."""
     if not np.isfinite(a).all():
         raise ValueError(f"{label} has non-finite entries")
-    if frob_norm(a - a.conj().T) > 1e-10 * max(frob_norm(a), 1e-300):
+    scale = _entry_scale(a)
+    if scale > 0:
+        # part by part: numpy's complex division overflows for a subnormal scale
+        a = a.real / scale + 1j * (a.imag / scale)
+    if frob_norm(a - a.conj().T) > 1e-10 * frob_norm(a):
         raise ValueError(f"{label} is not Hermitian within 1e-10")
+
+
+def _check_tolerance(value, name: str, positive: bool = False) -> None:
+    """Raise ValueError unless value is a finite real (not a bool) that is
+    nonnegative, or positive when asked."""
+    is_real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (is_real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,22 @@ products: U* m for the residual and W V* for the polar factor.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import _check_hermitian, frob_norm, herm_part, poldec, random_unitary, skew_part, square
+from .matkit import (
+    _check_hermitian,
+    _check_tolerance,
+    _entry_scale,
+    frob_norm,
+    herm_part,
+    poldec,
+    random_unitary,
+    skew_part,
+    square,
+)
 
 __all__ = [
     "ChannelInstance",
@@ -42,10 +51,20 @@ STATUS_MAX_ITERS = "max-iters"
 # treated as singular (the SVD completion is still accepted, only flagged).
 _SINGULAR_RTOL = 1e-14
 
+# Largest accepted n * entry scale of a state. sqrt(2) times it bounds the
+# state's Frobenius norm, so a pair's objective and gradient stay below ~4e300
+# and the solver's squared norms cannot overflow.
+_STATE_SCALE_LIMIT = 1e150
+
 
 def _validated_state(m, label: str) -> np.ndarray:
     m = square(m)
     _check_hermitian(m, label)
+    bound = m.shape[0] * _entry_scale(m)
+    if bound > _STATE_SCALE_LIMIT:
+        raise ValueError(
+            f"{label} is too large: n * max entry = {bound:.1e} exceeds {_STATE_SCALE_LIMIT:.0e}"
+        )
     evals = np.linalg.eigvalsh(herm_part(m))
     if evals[0] <= -1e-10 * max(abs(evals[-1]), 1e-300):
         raise ValueError(f"{label} is not positive semidefinite within 1e-10")
@@ -80,7 +99,7 @@ class ChannelInstance:
         return self.pairs[0][0].shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Termination and initialization knobs for the fixed-point solver."""
 
@@ -99,10 +118,8 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if self.init_seed < 0:
             raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not (math.isfinite(self.stall_tol) and self.stall_tol >= 0):
-            raise ValueError(f"stall_tol must be finite and nonnegative, got {self.stall_tol}")
+        _check_tolerance(self.tol, "tol", positive=True)
+        _check_tolerance(self.stall_tol, "stall_tol")
         if self.init not in ("identity", "random"):
             raise ValueError(f"init must be 'identity' or 'random', got {self.init!r}")
 
@@ -120,6 +137,7 @@ class IterationTrace:
 
     def monotone_violations(self, slack: float = 1e-12) -> int:
         """Number of consecutive objective pairs that increase by more than slack."""
+        _check_tolerance(slack, "slack")
         return int(np.count_nonzero(np.diff(self.objective) > slack))
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .matkit import (
     _child_seeds,
+    _entry_scale,
     _relative_eigengap,
     frob_norm,
     hermitian_eig,
@@ -95,8 +96,11 @@ class ChannelOracle:
 
     def __init__(self, hidden_u):
         u = square(hidden_u)
-        # written so that a NaN defect (non-finite input, overflow) fails too
-        if not (np.isfinite(u).all() and unitarity_defect(u) <= 1e-10):
+        # a unitary has no entry beyond 1 + 1e-10: checking that first keeps
+        # U*U from overflowing
+        if not (
+            np.isfinite(u).all() and _entry_scale(u) <= 1 + 1e-10 and unitarity_defect(u) <= 1e-10
+        ):
             raise ValueError("hidden channel matrix is not unitary within 1e-10")
         self._u = u.copy()
         self._uh = self._u.conj().T

@@ -61,6 +61,12 @@ class TestIsEquivUnder:
         u3 = class_member(u2, v, phase_diagonal(rng, 5))
         assert is_equiv_under(u1, u3, v, 1e-10)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), True, "1e-6", None])
+    def test_rejects_bad_tol(self, tol):
+        u = random_unitary(3, 4)
+        with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
+            is_equiv_under(u, u, np.eye(3), tol)
+
     def test_unrelated_unitaries_fail(self):
         v = random_unitary(4, 19)
         assert not is_equiv_under(random_unitary(4, 20), random_unitary(4, 21), v, 1e-6)
@@ -77,6 +83,20 @@ class TestIsEquivUnder:
             s1 = u @ rho @ u.conj().T
             s2 = member @ rho @ member.conj().T
             assert frob_norm(s1 - s2) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: relation_matrix(a, b, b),
+        lambda a, b: relation_matrix(b, a, b),
+        lambda a, b: relation_matrix(b, b, a),
+        normalized_diff,
+    ],
+)
+def test_shape_mismatch_rejected(call):
+    with pytest.raises(ValueError, match="shape"):
+        call(np.eye(3), np.eye(2))
 
 
 class TestNormalizedDiff:

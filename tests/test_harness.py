@@ -70,6 +70,23 @@ class TestMatrixFiles:
         m = random_density(3, 2)
         assert np.array_equal(matrix_from_obj(matrix_to_obj(m)), m)
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([], "top-level 'pairs' list"),
+            ({"pair": []}, "top-level 'pairs' list"),
+            ({"pairs": {}}, "top-level 'pairs' list"),
+            ({"pairs": [{"rho": matrix_to_obj(np.eye(2))}]}, "pair 0 needs 'rho' and 'sigma'"),
+            ({"pairs": [{"sigma": matrix_to_obj(np.eye(2))}]}, "pair 0 needs 'rho' and 'sigma'"),
+            ({"pairs": [[]]}, "pair 0 needs 'rho' and 'sigma'"),
+        ],
+    )
+    def test_instance_file_rejects_bad_layout(self, tmp_path, doc, match):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            read_instance_file(path)
+
     def test_instance_file_round_trip(self, tmp_path):
         _, inst = generate_exact_instance(3, 2, 5)
         path = tmp_path / "inst.json"
@@ -142,23 +159,13 @@ class TestCmdSolve:
         sb.pop("wall_time_s")
         assert sa == sb
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        flagged, env = tmp_path / "flag", tmp_path / "env"
-        assert main(["solve", "--n", "4", "--seed", "21", "--out", str(flagged)]) == 0
+    def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path, monkeypatch):
+        zero, unset = tmp_path / "zero", tmp_path / "unset"
+        assert main(["solve", "--n", "4", "--seed", "0", "--out", str(zero)]) == 0
+        # no environment variable stands in for --seed
         monkeypatch.setenv("POLARCHAN_SEED", "21")
-        assert main(["solve", "--n", "4", "--out", str(env)]) == 0
-        assert (flagged / "trace.csv").read_bytes() == (env / "trace.csv").read_bytes()
-        # flag beats env
-        other = tmp_path / "other"
-        monkeypatch.setenv("POLARCHAN_SEED", "99")
-        assert main(["solve", "--n", "4", "--seed", "21", "--out", str(other)]) == 0
-        assert (flagged / "trace.csv").read_bytes() == (other / "trace.csv").read_bytes()
-
-    def test_bad_env_seed_exits_1(self, tmp_path, monkeypatch, capsys):
-        for env in ("not-a-number", "-1"):
-            monkeypatch.setenv("POLARCHAN_SEED", env)
-            assert main(["solve", "--n", "4", "--out", str(tmp_path / "o")]) == 1, env
-            assert capsys.readouterr().err.startswith("error: POLARCHAN_SEED must be"), env
+        assert main(["solve", "--n", "4", "--out", str(unset)]) == 0
+        assert (zero / "trace.csv").read_bytes() == (unset / "trace.csv").read_bytes()
 
 
 class TestCmdReconstruct:
@@ -198,8 +205,9 @@ class TestCmdReconstruct:
             err = capsys.readouterr().err
             assert err == "error: hidden channel matrix is not unitary within 1e-10\n", (degenerate, err)
 
-    def test_missing_source_exits_1(self, tmp_path):
+    def test_missing_source_exits_1(self, tmp_path, capsys):
         assert main(["reconstruct", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: one of the arguments --in --circuit is required\n"
 
     def test_report_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -235,6 +243,12 @@ class TestCmdReconstruct:
 
 
 class TestCliSurface:
+    def test_solve_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["solve"])
+        flags = SolverConfig(max_iters=args.max_iters, tol=args.tol, stall_tol=args.stall_tol)
+        assert flags == SolverConfig()
+        assert args.seed == 0
+
     def test_option_strings_per_command(self):
         shared = {"-h", "--help", "--seed", "--out"}
         expected = {
@@ -263,6 +277,14 @@ class TestExitCodeTable:
         null_n.write_text(json.dumps({"pairs": [null_pair]}))
         id_mat = tmp_path / "id.json"
         write_matrix_file(id_mat, np.eye(3, dtype=complex))
+        # inputs whose norms overflow a double: each is rejected where it enters
+        non_herm = tmp_path / "non_herm.json"
+        tilted = np.array([[1e200, 5e199], [0.0, 1e200]])
+        write_instance_file(non_herm, [(tilted, tilted)])
+        huge_inst = tmp_path / "huge_inst.json"
+        write_instance_file(huge_inst, [(np.diag([1e160, 5e159]), np.diag([5e159, 1e160]))])
+        huge_mat = tmp_path / "huge_mat.json"
+        write_matrix_file(huge_mat, np.array([[1e200, 0.0], [0.0, 1.0]]))
         below_file = str(id_mat / "sub")
         table = [
             (["solve", "--in", str(ok_inst)], 0),
@@ -285,6 +307,9 @@ class TestExitCodeTable:
             (["solve", "--n", "abc"], 1),
             (["solve", "--bogus"], 1),
             (["reconstruct", "--circuit", "example2", "--in", str(tmp_path / "nope.json")], 1),
+            (["solve", "--in", str(non_herm)], 1),
+            (["solve", "--in", str(huge_inst)], 1),
+            (["reconstruct", "--in", str(huge_mat)], 1),
             # only solve takes solver flags and no command takes --init: each of
             # these exits 0 without its last flag
             (["reconstruct", "--circuit", "example2", "--tol", "1e-3"], 1),
@@ -306,8 +331,11 @@ class TestExitCodeTable:
         assert err.startswith("error: degenerate state") and err.count("\n") == 1, err
 
     def test_negative_flag_seed_names_its_source(self, tmp_path, capsys):
-        assert main(["repro-ex1", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+        commands = (["solve"], ["reconstruct", "--circuit", "example2"], ["repro-ex1"], ["repro-ex2"])
+        for command in commands:
+            assert main([*command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: --seed must be nonnegative, got -1\n", command
 
 
 class TestReproCommands:
@@ -335,6 +363,16 @@ class TestReproCommands:
         trace_rows = (out / "ex2_run000_trace.csv").read_text().splitlines()
         assert trace_rows[0] == "iter,objective,step_norm,residual"
         assert len(trace_rows) > 10
+
+    def test_repro_ex2_run_without_a_converging_probe_exits_1(self, tmp_path, capsys, monkeypatch):
+        def cap_hit(hidden, rho0, solver=None):
+            raise harness.ReconstructionError("solver hit the iteration cap")
+
+        monkeypatch.setattr(harness, "_reconstruct_once", cap_hit)
+        assert main(["repro-ex2", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run 0: no candidate probe state converged: solver hit")
+        assert err.count("\n") == 1
 
     def test_repro_ex2_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polarchan import matkit
+from polarchan.search import ChannelInstance
 from polarchan.matkit import (
     frob_norm,
     herm_part,
@@ -112,6 +113,19 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             hermitian_eig(a)
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1.0, 1e200, 1e307])
+    def test_hermitian_rule_is_scale_free(self, scale):
+        # unscaled, ||a||_F overflows to inf above ~1e154 (and ||a - a*||_F
+        # underflows to 0 below ~1e-154), so either matrix would pass; both
+        # entry points of the one check reject at every scale
+        bad = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            hermitian_eig(bad)
+        with pytest.raises(ValueError, match=r"rho\[0\] is not Hermitian"):
+            ChannelInstance([(bad, bad)])
+        w = hermitian_eig(scale * np.diag([2.0, 1.0])).eigenvalues
+        assert_allclose(w, [2.0 * scale, scale], rtol=1e-14, atol=0)
+
 
 def test_relative_eigengap_reads_either_order():
     w = np.linalg.eigvalsh(random_density(6, 3))
@@ -215,6 +229,12 @@ class TestRandomDensity:
 
     def test_deterministic(self):
         assert np.array_equal(random_density(4, 9), random_density(4, 9))
+
+    @pytest.mark.parametrize("make", [random_density, random_unitary])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_bad_n(self, make, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            make(n, 1)
 
 
 def test_square_rejects_nonsquare():

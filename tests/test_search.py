@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -82,6 +84,25 @@ class TestChannelInstance:
     def test_n(self):
         inst = ChannelInstance([(np.eye(4) / 4, np.eye(4) / 4)])
         assert inst.n == 4
+
+    @pytest.mark.parametrize(
+        "pairs, match",
+        [
+            ([(np.eye(2) / 2, np.eye(3) / 3)], r"pair 0: rho is \(2, 2\) but sigma is \(3, 3\)"),
+            # n * max entry above 1e150 would overflow the objective's squares
+            ([(np.diag([1e160, 5e159]), np.diag([5e159, 1e160]))], r"rho\[0\] is too large"),
+            ([(np.eye(2), np.diag([1.0, 1e150]))], r"sigma\[0\] is too large"),
+        ],
+    )
+    def test_rejects_bad_pairs(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            ChannelInstance(pairs)
+
+    def test_largest_accepted_scale_solves_without_overflow(self):
+        # n * max entry = 2e140: the solve runs with every trace entry finite
+        rho, sigma = np.diag([1e140, 5e139]), np.diag([5e139, 1e140])
+        trace = solve(ChannelInstance([(rho, sigma)]), SolverConfig(max_iters=3)).trace
+        assert np.isfinite(trace.objective).all() and np.isfinite(trace.residual).all()
 
 
 class TestObjective:
@@ -262,6 +283,22 @@ class TestSolve:
         assert len(res.trace) > 1
         assert res.singular_steps == 0
 
+    def test_plain_pair_list_matches_instance_bitwise(self):
+        _, inst = exact_instance(5, 17, n_pairs=3)
+        from_list = solve(list(inst.pairs))
+        from_instance = solve(inst)
+        assert np.array_equal(from_list.u_hat, from_instance.u_hat)
+        a, b = from_list.trace, from_instance.trace
+        for name in ("objective", "step_norm", "residual"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert from_list.status == from_instance.status
+
+    @pytest.mark.parametrize("slack", [float("nan"), -1e-12, float("inf"), True, "0"])
+    def test_monotone_violations_rejects_bad_slack(self, slack):
+        trace = solve(exact_instance(3, 2)[1]).trace
+        with pytest.raises(ValueError, match="slack must be a finite nonnegative number"):
+            trace.monotone_violations(slack)
+
     def test_random_init_is_seeded(self):
         _, inst = exact_instance(4, 33)
         cfg = SolverConfig(max_iters=50, init="random", init_seed=5)
@@ -285,6 +322,16 @@ class TestSolverConfig:
                 SolverConfig(stall_tol=float(bad))
         with pytest.raises(ValueError):
             SolverConfig(init="cayley")
+        for name in ("tol", "stall_tol"):
+            for bad in (True, False, "1e-3", None, 1j):
+                with pytest.raises(ValueError, match=f"{name} must be a finite"):
+                    SolverConfig(**{name: bad})
+
+    def test_is_frozen(self):
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tol = 1.0
+        assert cfg == SolverConfig(max_iters=5000, tol=1e-24, stall_tol=1e-13)
 
     def test_rejects_non_integer_counts(self):
         for name in ("max_iters", "init_seed"):

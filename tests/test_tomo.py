@@ -99,6 +99,10 @@ class TestChannelOracle:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             ChannelOracle(np.diag([1.0, 2.0]))
+        # an entry of 1e200 would overflow U*U: a unitary has no entry beyond
+        # 1 + 1e-10, so the oracle rejects it before forming the product
+        with pytest.raises(ValueError, match="not unitary within 1e-10"):
+            ChannelOracle(np.diag([1e200, 1.0]))
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -258,6 +262,25 @@ class TestChannelOracle:
         assert frob_norm(out_a - u @ a @ u.conj().T) < 1e-14
         assert frob_norm(out_b - u @ b @ u.conj().T) < 1e-14
         assert np.array_equal(out_a2, out_a)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda o: o.apply(np.eye(4)), r"state is \(4, 4\), channel dimension is 3"),
+        (lambda o: o.expectation(np.eye(3) / 3, np.eye(2)), r"observable is \(2, 2\)"),
+        (
+            lambda o: extract_phase_product(o, np.eye(3), np.eye(4), 0, 1),
+            "u0 and v must have the same shape",
+        ),
+        (lambda o: reconstruct(o, random_density(4, 0)), r"rho0 is \(4, 4\), channel dimension is 3"),
+    ],
+)
+def test_shape_mismatch_rejected_before_counting(call, match):
+    oracle = ChannelOracle(random_unitary(3, 6))
+    with pytest.raises(ValueError, match=match):
+        call(oracle)
+    assert oracle.queries == 0
 
 
 class TestStateTomography:
