@@ -66,7 +66,7 @@ def _validated_state(m, label: str) -> np.ndarray:
             f"{label} is too large: n * max entry = {bound:.1e} exceeds {_STATE_SCALE_LIMIT:.0e}"
         )
     evals = np.linalg.eigvalsh(herm_part(m))
-    if evals[0] <= -1e-10 * max(abs(evals[-1]), 1e-300):
+    if evals[0] < -1e-10 * np.abs(evals).max():
         raise ValueError(f"{label} is not positive semidefinite within 1e-10")
     return m
 

@@ -19,6 +19,7 @@ copies the stored output.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .matkit import (
     square,
     unitarity_defect,
 )
-from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult, solve
+from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult, _validated_state, solve
 
 __all__ = [
     "ChannelOracle",
@@ -117,7 +118,8 @@ class ChannelOracle:
         return self._queries
 
     def apply(self, state) -> np.ndarray:
-        """Evaluate Phi(state) = U state U* (not a measurement); always a fresh array."""
+        """Evaluate Phi(state) = U state U* (not a measurement); always a fresh array.
+        A non-finite state raises before it is evaluated or stored."""
         s = square(state)
         if s.shape != self._u.shape:
             raise ValueError(f"state is {s.shape}, channel dimension is {self.dim}")
@@ -125,6 +127,8 @@ class ChannelOracle:
         last = self._last
         if last is not None and last[0] == key:
             return last[1].copy()
+        if not np.isfinite(s).all():
+            raise ValueError("state has non-finite entries")
         out = self._u @ s @ self._uh
         self._last = (key, out)
         return out.copy()
@@ -136,8 +140,8 @@ class ChannelOracle:
         ``entries=(rows, cols, weights)`` with observable[rows[k], cols[k]] =
         weights[k] (repeated positions add); the entries form reads only
         those entries of Phi(state). Exactly one of the two forms is allowed;
-        entry indices are integers (not bools) in range. A call that raises
-        is not counted.
+        entry indices are integers (not bools) in range. A non-finite state
+        or expectation value raises. A call that raises is not counted.
         """
         if (observable is None) == (entries is None):
             raise ValueError("give exactly one of observable and entries")
@@ -158,6 +162,8 @@ class ChannelOracle:
             for r, c, w in zip(rows, cols, weights):
                 value = value + out[c, r] * w
         value = float(value.real)
+        if not math.isfinite(value):
+            raise ValueError(f"expectation value is {value}, not finite")
         self._queries += 1
         return value
 
@@ -265,6 +271,10 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Recover the hidden unitary from one non-degenerate probe state.
 
+    rho0 is checked before any query, by ``ChannelInstance``'s state rule
+    plus unit trace within 1e-10 and distinct eigenvalues; a rank-deficient
+    probe passes.
+
     Pipeline: tomograph sigma0 = Phi(rho0) (n^2+n queries), solve the
     single-pair problem to get u0, then fix d_0 = 1 and extract the remaining
     diagonal phases against the eigenbasis of rho0 (one probe, 2 queries per
@@ -277,12 +287,12 @@ def reconstruct(
     retains roughly four digits of headroom.
     """
     n = oracle.dim
-    rho0 = square(rho0)
+    rho0 = _validated_state(rho0, "rho0")
     if rho0.shape[0] != n:
         raise ValueError(f"rho0 is {rho0.shape}, channel dimension is {n}")
+    if abs(np.trace(rho0) - 1) > 1e-10:
+        raise ValueError(f"rho0 has trace {np.trace(rho0).real:.6g}, not 1 within 1e-10")
     eig = hermitian_eig(rho0)
-    if eig.eigenvalues[-1] <= 0:
-        raise ValueError("rho0 must be positive definite")
     eigengap = _relative_eigengap(eig.eigenvalues)
     if eigengap <= EIGENGAP_FLOOR:
         raise DegenerateStateError(

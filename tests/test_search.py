@@ -67,6 +67,17 @@ class TestChannelInstance:
         with pytest.raises(ValueError, match=r"rho\[0\] is not positive semidefinite"):
             ChannelInstance([(bad, np.diag([0.7, 0.3, 0.0]))])
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1.0])
+    def test_semidefinite_rule_is_scale_free(self, scale):
+        bad, good = scale * np.diag([1.0, -0.5]), scale * np.diag([1.0, 0.5])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            ChannelInstance([(bad, bad)])
+        assert ChannelInstance([(good, good)]).n == 2
+
+    def test_accepts_zero_state(self):
+        zero = np.zeros((3, 3))
+        assert ChannelInstance([(zero, zero)]).n == 3
+
     def test_rejects_non_finite_state(self):
         rho = np.eye(2) / 2
         for bad in (np.nan, np.inf):

@@ -11,7 +11,7 @@ from polarchan.matkit import (
     random_unitary,
     unitarity_defect,
 )
-from polarchan.search import SolverConfig
+from polarchan.search import ChannelInstance, SolverConfig
 from polarchan.tomo import (
     ALPHA_UNIT_TOL,
     ChannelOracle,
@@ -262,6 +262,37 @@ class TestChannelOracle:
         assert frob_norm(out_a - u @ a @ u.conj().T) < 1e-14
         assert frob_norm(out_b - u @ b @ u.conj().T) < 1e-14
         assert np.array_equal(out_a2, out_a)
+
+
+def _nan_at_01(m):
+    m = np.array(m, dtype=np.complex128)
+    m[0, 1] = np.nan
+    return m
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"state": _nan_at_01(random_density(3, 52)), "observable": np.eye(3)},
+        {"state": _nan_at_01(random_density(3, 52)), "entries": ((0,), (1,), (1.0,))},
+        {"state": random_density(3, 53), "observable": _nan_at_01(np.eye(3))},
+        {"state": random_density(3, 53), "entries": ((0, 1), (1, 0), (0.5, np.nan))},
+    ],
+    ids=["nan-state", "nan-state-entries", "nan-observable", "nan-weight"],
+)
+def test_non_finite_query_rejected_before_counting(kwargs):
+    u = random_unitary(3, 54)
+    oracle = ChannelOracle(u)
+    good = random_density(3, 55)
+    obs = random_density(3, 56)
+    oracle.expectation(good, obs)
+    with pytest.raises(ValueError, match="not finite|non-finite"):
+        oracle.expectation(**kwargs)
+    assert oracle.queries == 1
+    # the rejected state never replaces the stored evaluation
+    expected = np.trace(u @ good @ u.conj().T @ obs).real
+    assert oracle.expectation(good, obs) == pytest.approx(expected, abs=1e-14)
+    assert oracle.queries == 2
 
 
 @pytest.mark.parametrize(
@@ -532,6 +563,33 @@ class TestReconstruct:
             reconstruct(oracle, rho0)
         assert oracle.queries == 0
 
+    @pytest.mark.parametrize(
+        "rho0, match",
+        [
+            (1e200 * random_density(6, 2), "rho0 is too large"),
+            (np.triu(random_density(6, 2)), "rho0 is not Hermitian"),
+            (1e-10 * random_density(6, 2), "rho0 has trace 1e-10, not 1 within 1e-10"),
+            (1e-13 * random_density(6, 2), "rho0 has trace 1e-13, not 1 within 1e-10"),
+            (3 * random_density(6, 2), "rho0 has trace 3, not 1 within 1e-10"),
+        ],
+        ids=["over-scale", "non-hermitian", "trace-1e-10", "trace-1e-13", "trace-3"],
+    )
+    def test_bad_rho0_rejected_before_any_query(self, rho0, match):
+        oracle = ChannelOracle(random_unitary(6, 1))
+        with pytest.raises(ValueError, match=match):
+            reconstruct(oracle, rho0)
+        assert oracle.queries == 0
+
+    def test_rank_deficient_probes_reconstruct(self):
+        # a zero eigenvalue is no obstacle: only distinct eigenvalues matter
+        n, spectrum = 5, np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+        for k in range(40):
+            q = random_unitary(n, 100 + k)
+            hidden = random_unitary(n, 200 + k)
+            rep = reconstruct(ChannelOracle(hidden), (q * spectrum) @ q.conj().T)
+            assert rep.budget_used == n * n + n + 2 * (n - 1)
+            assert normalized_diff(rep.u_recovered, hidden, pivot="max-modulus-entry") < 1e-10
+
     def test_solver_cap_raises(self):
         hidden = random_unitary(6, 50)
         oracle = ChannelOracle(hidden)
@@ -551,6 +609,47 @@ class TestReconstruct:
             oracle = ChannelOracle(random_unitary(n, 60 + n))
             rep = reconstruct(oracle, random_density(n, 70 + n))
             assert rep.budget_used <= n * n + 3 * n
+
+
+def _rotated(spectrum, seed):
+    q = random_unitary(len(spectrum), seed)
+    return (q * np.asarray(spectrum)) @ q.conj().T
+
+
+def _perturbed(m, i, j, delta):
+    m = np.array(m, dtype=np.complex128)
+    m[i, j] += delta
+    return m
+
+
+@pytest.mark.parametrize(
+    "m, accepted",
+    [
+        (random_density(4, 80), True),
+        (np.diag([0.5, 0.3, 0.2, 0.0]), True),
+        (_rotated([0.4, 0.3, 0.2, 0.1, 0.0], 81), True),
+        (np.diag([0.6, 0.4 + 1e-12, -1e-12]), True),  # negative within tolerance
+        (np.diag([0.9, 0.3, -0.2]), False),
+        (_perturbed(random_density(3, 82), 0, 1, 0.1), False),
+        (_perturbed(random_density(3, 82), 0, 1, np.nan), False),
+        (1e200 * random_density(3, 82), False),
+    ],
+    ids=["positive-definite", "rank-deficient", "rotated-rank-deficient", "within-tolerance",
+         "indefinite", "non-hermitian", "non-finite", "over-scale"],
+)
+def test_instance_and_reconstruct_share_one_state_rule(m, accepted):
+    n = m.shape[0]
+    outcomes = []
+    for check in (
+        lambda: ChannelInstance([(m, m)]),
+        lambda: reconstruct(ChannelOracle(np.eye(n)), m),
+    ):
+        try:
+            check()
+            outcomes.append(True)
+        except ValueError:
+            outcomes.append(False)
+    assert outcomes == [accepted, accepted]
 
 
 def test_alpha_unit_tolerance_exported():
