@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pairs", type=int, default=None, help="generated state pairs (default 1)")
     sp.add_argument("--in", dest="input_path", default=None, help="instance JSON file")
     sp.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, help="iteration cap")
-    sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="objective threshold")
+    sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="objective threshold at unit trace")
     sp.add_argument("--stall-tol", type=float, default=SolverConfig.stall_tol, help="stall threshold")
 
     sp = _add_command(

@@ -154,13 +154,17 @@ def _child_seeds(entropy, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(entropy).generate_state(count)]
 
 
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded random unitary: polar factor of a complex Gaussian matrix."""
+def _complex_gaussian(n: int, seed: int) -> np.ndarray:
+    """Seeded n x n complex Gaussian matrix: real part drawn first, then imaginary."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return poldec(g).unitary
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    """Seeded random unitary: polar factor of a complex Gaussian matrix."""
+    return poldec(_complex_gaussian(n, seed)).unitary
 
 
 def random_density(n: int, seed: int) -> np.ndarray:
@@ -169,10 +173,7 @@ def random_density(n: int, seed: int) -> np.ndarray:
     Built as (G G* + shift I) / trace for complex Gaussian G, so every
     eigenvalue is strictly positive (and strictly below one for n >= 2).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = _complex_gaussian(n, seed)
     m = g @ g.conj().T + DENSITY_SHIFT * np.eye(n)
     m = herm_part(m)
     return m / np.real(np.trace(m))

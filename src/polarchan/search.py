@@ -11,6 +11,7 @@ products: U* m for the residual and W V* for the polar factor.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -104,6 +105,7 @@ class SolverConfig:
     """Termination and initialization knobs for the fixed-point solver."""
 
     max_iters: int = 5000
+    # objective threshold at unit trace; solve rescales the objective by the pairs' trace
     tol: float = 1e-24
     stall_tol: float = 1e-13
     init: str = "identity"
@@ -213,17 +215,24 @@ def step(u, pairs) -> np.ndarray:
 
 
 def solve(instance, config: SolverConfig | None = None) -> SolveResult:
-    """Iterate the polar fixed-point update until the objective drops below tol,
-    the update norm stalls below stall_tol, or max_iters is exhausted.
+    """Iterate the polar fixed-point update until the objective drops below
+    tol * 4^k, the update norm stalls below stall_tol, or max_iters is exhausted.
 
-    The trace records the start point (iteration 0 with step norm 0) and every
-    subsequent iterate.
+    2^k is the power of two nearest (on a log scale) the mean trace of the
+    pairs' states, k = 0 when that mean is 0. The objective is homogeneous of
+    degree 2 in the states and the update ignores a positive scale, so the
+    stop rule is scale-free, and at unit trace tol is the plain threshold.
+    The trace records the true objective at the start point (iteration 0 with
+    step norm 0) and every subsequent iterate.
     """
     if not isinstance(instance, ChannelInstance):
         instance = ChannelInstance(list(instance))
     cfg = config if config is not None else SolverConfig()
     pairs = instance.pairs
     n = instance.n
+    traces = [np.trace(m).real for pair in pairs for m in pair]
+    mean_trace = sum(traces) / len(traces)
+    k = round(math.log2(mean_trace)) if mean_trace > 0 else 0
 
     if cfg.init == "identity":
         u = np.eye(n, dtype=np.complex128)
@@ -237,7 +246,7 @@ def solve(instance, config: SolverConfig | None = None) -> SolveResult:
     singular = 0
 
     status = STATUS_MAX_ITERS
-    if obj < cfg.tol:
+    if math.ldexp(obj, -2 * k) < cfg.tol:
         status = STATUS_CONVERGED_TOL
     else:
         for _ in range(cfg.max_iters):
@@ -250,7 +259,7 @@ def solve(instance, config: SolverConfig | None = None) -> SolveResult:
             objs.append(obj)
             steps.append(dnorm)
             residuals.append(_residual(u, m))
-            if obj < cfg.tol:
+            if math.ldexp(obj, -2 * k) < cfg.tol:
                 status = STATUS_CONVERGED_TOL
                 break
             if dnorm < cfg.stall_tol:

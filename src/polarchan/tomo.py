@@ -7,10 +7,11 @@ primitive: state tomography and phase extraction both call it directly.
 An observable goes in as a dense matrix or as its nonzero entries
 (rows, cols, weights); tomography sends each of its E+/E- observables as
 its two entries, so a query reads two entries of the channel output, and
-phase extraction reads one probe state per phase through two dense
-projectors, one channel evaluation per phase. A full reconstruction spends
-n^2+n queries on state tomography of one output state plus 2(n-1) queries
-on diagonal-phase extraction, staying under the n^2+3n ceiling.
+phase extraction reads one probe per phase, the traceless
+(v_p v_q* + v_q v_p*)/2, through two dense projectors, one channel
+evaluation per phase. A full reconstruction spends n^2+n queries on state
+tomography of one output state plus 2(n-1) queries on diagonal-phase
+extraction, staying under the n^2+3n ceiling.
 
 A query on the state just evaluated still costs O(n^2): the oracle
 serialises the state, compares it byte for byte with its previous input, and
@@ -30,6 +31,7 @@ from .matkit import (
     _entry_scale,
     _relative_eigengap,
     frob_norm,
+    herm_part,
     hermitian_eig,
     random_density,
     square,
@@ -183,37 +185,26 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
         for j in range(i, n):
             mp = expectation(input_state, entries=((i, j), (j, i), (0.5, 0.5)))
             mm = expectation(input_state, entries=((i, j), (j, i), (-0.5j, 0.5j)))
-            if i == j:
-                out[i, i] = mp
-            else:
-                out[i, j] = mp - 1j * mm
-                out[j, i] = mp + 1j * mm
+            out[i, j] = mp - 1j * mm
+            out[j, i] = mp + 1j * mm
     return out
 
 
 def probe_state(v, p: int, q: int) -> np.ndarray:
-    """The phase probe for columns p and q of v, anchored on column r:
+    """The phase probe for distinct columns p and q of v: the Hermitian part
+    of their cross term,
 
-        v_r v_r* + (v_p v_q* + v_q v_p*)/2
+        (v_p v_q* + v_q v_p*)/2.
 
-    with r the smallest index other than p and q. The indices p and q must be
-    distinct columns of v. At n >= 3 the probe is Hermitian with unit trace
-    (the cross term is traceless); at n == 2 no anchor exists and the probe is
-    the bare, traceless cross term. It is not positive semidefinite: the cross
-    term has eigenvalues +-1/2, which is harmless because the simulated
-    channel is linear on Hermitian matrices.
+    It is traceless with eigenvalues +-1/2 and n-2 zeros, so it is not a
+    state; that is harmless because the simulated channel is linear on
+    Hermitian matrices.
     """
     v = square(v)
-    n = v.shape[0]
-    _check_indices((p, q), n)
+    _check_indices((p, q), v.shape[0])
     if p == q:
         raise ValueError(f"probe indices must be distinct columns, got {(p, q)}")
-    cross = np.outer(v[:, p], v[:, q].conj())
-    plus = 0.5 * (cross + cross.conj().T)
-    if n == 2:
-        return plus
-    r = min(k for k in range(n) if k not in (p, q))
-    return np.outer(v[:, r], v[:, r].conj()) + plus
+    return herm_part(np.outer(v[:, p], v[:, q].conj()))
 
 
 def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> complex:
@@ -224,9 +215,8 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> compl
     v_p v_q* to d_p conj(d_q) (u0 v_p)(u0 v_q)*. Both queries measure the one
     ``probe_state``: projecting its channel output onto w = u0 (v_p + v_q)/sqrt(2)
     reads Re(alpha)/2, and onto w' = u0 (v_p + i v_q)/sqrt(2) reads -Im(alpha)/2.
-    The anchor column contributes nothing to either expectation. The second
-    query repeats the first one's input, so the oracle evaluates the channel
-    once per call.
+    The second query repeats the first one's input, so the oracle evaluates
+    the channel once per call.
     """
     u0 = square(u0)
     v = square(v)

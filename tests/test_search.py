@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polarchan import search
+from polarchan.equiv import is_equiv_under
 from polarchan.matkit import (
     frob_norm,
+    hermitian_eig,
     poldec,
     random_density,
     random_unitary,
@@ -222,11 +224,12 @@ class TestStep:
 
 class TestSolve:
     def test_trivial_instance_converges_at_iteration_zero(self):
-        rho = random_density(4, 30)
-        res = solve(ChannelInstance([(rho, rho)]))
-        assert res.status == STATUS_CONVERGED_TOL
-        assert len(res.trace) == 1
-        assert res.trace.objective[0] == 0.0
+        # the zero pair has mean trace 0, where the stop rule takes k = 0
+        for rho in (random_density(4, 30), np.zeros((3, 3))):
+            res = solve(ChannelInstance([(rho, rho)]))
+            assert res.status == STATUS_CONVERGED_TOL
+            assert len(res.trace) == 1
+            assert res.trace.objective[0] == 0.0
 
     def test_exact_n10_instance(self):
         _, inst = exact_instance(10, 42)
@@ -303,6 +306,29 @@ class TestSolve:
         for name in ("objective", "step_norm", "residual"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert from_list.status == from_instance.status
+
+    def test_stop_rule_is_scale_free(self):
+        # scaling a pair by 2^k scales the objective by exactly 4^k and leaves
+        # the polar updates bit-identical, so the stop rule must see the same run
+        hidden, rho = random_unitary(6, 1), random_density(6, 2)
+        base = solve([(rho, hidden @ rho @ hidden.conj().T)])
+        assert base.status == STATUS_CONVERGED_TOL
+        for k in (-33, -20, 0, 20):
+            scale = 2.0**k
+            res = solve([(scale * rho, scale * (hidden @ rho @ hidden.conj().T))])
+            assert res.status == STATUS_CONVERGED_TOL
+            assert len(res.trace) == len(base.trace)
+            assert np.array_equal(res.u_hat, base.u_hat)
+            assert np.array_equal(res.trace.step_norm, base.trace.step_norm)
+            assert np.array_equal(res.trace.objective, base.trace.objective * 4.0**k)
+
+    def test_small_scale_pair_converges_in_the_class(self):
+        # an absolute tol would stop this pair after 62 iterations, outside the class
+        hidden, rho = random_unitary(6, 1), 1e-10 * random_density(6, 2)
+        res = solve([(rho, hidden @ rho @ hidden.conj().T)])
+        assert res.status == STATUS_CONVERGED_TOL
+        assert len(res.trace) > 1000
+        assert is_equiv_under(res.u_hat, hidden, hermitian_eig(rho).eigenvectors, 1e-6)
 
     @pytest.mark.parametrize("slack", [float("nan"), -1e-12, float("inf"), True, "0"])
     def test_monotone_violations_rejects_bad_slack(self, slack):

@@ -82,14 +82,9 @@ def two_probe_phase_product(oracle, u0, v, p, q):
     """Reference route for extract_phase_product: a second probe with the
     antisymmetric cross term (v_p v_q* - v_q v_p*)/2i, read through the same
     projector w = u0 (v_p + v_q)/sqrt(2), gives Im(alpha)/2."""
-    n = v.shape[0]
     cross = np.outer(v[:, p], v[:, q].conj())
     plus = 0.5 * (cross + cross.conj().T)
     minus = (cross - cross.conj().T) / 2j
-    if n > 2:
-        r = min(k for k in range(n) if k not in (p, q))
-        anchor = np.outer(v[:, r], v[:, r].conj())
-        plus, minus = anchor + plus, anchor + minus
     w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
     proj = np.outer(w, w.conj())
     return complex(2.0 * (oracle.expectation(plus, proj) + 1j * oracle.expectation(minus, proj)))
@@ -381,35 +376,17 @@ class TestStateTomography:
 
 
 class TestProbeStates:
-    def test_unit_traces(self):
-        for n, p, q in [(3, 0, 2), (5, 3, 1), (8, 0, 7)]:
-            probe = probe_state(random_unitary(n, 23 + n), p, q)
-            assert_allclose(np.trace(probe), 1.0, atol=1e-13)
-            assert frob_norm(probe - probe.conj().T) < 1e-14
-
-    def test_identity_basis_instantiation(self):
-        e = np.eye(4)
-        for (p, q), r in [((1, 2), 0), ((0, 2), 1), ((1, 0), 2)]:
-            expected = np.outer(e[:, r], e[:, r]) + 0.5 * (
-                np.outer(e[:, p], e[:, q]) + np.outer(e[:, q], e[:, p])
-            )
-            assert_allclose(probe_state(e, p, q), expected, atol=0)
-
-    def test_plus_spectrum(self):
-        v = random_unitary(6, 24)
-        evals = np.sort(np.linalg.eigvalsh(probe_state(v, 2, 4)))
-        assert_allclose(evals[-1], 1.0, atol=1e-13)
-        assert_allclose(evals[-2], 0.5, atol=1e-13)
-        assert_allclose(evals[0], -0.5, atol=1e-13)
-        assert_allclose(evals[1:-2], 0.0, atol=1e-13)
-
-    def test_traceless_cross_term_at_n2(self):
-        v = random_unitary(2, 25)
-        probe = probe_state(v, 1, 0)
-        cross = np.outer(v[:, 1], v[:, 0].conj())
-        assert_allclose(probe, 0.5 * (cross + cross.conj().T), atol=0)
+    @pytest.mark.parametrize("n, p, q", [(2, 1, 0), (3, 0, 2), (5, 3, 1), (8, 0, 7)])
+    def test_hermitian_part_of_cross_term(self, n, p, q):
+        v = random_unitary(n, 23 + n)
+        probe = probe_state(v, p, q)
+        cross = np.outer(v[:, p], v[:, q].conj())
+        assert probe.tobytes() == (0.5 * (cross + cross.conj().T)).tobytes()
+        assert np.array_equal(probe, probe.conj().T)
         assert abs(np.trace(probe)) < 1e-15
-        assert_allclose(np.sort(np.linalg.eigvalsh(probe)), [-0.5, 0.5], atol=1e-15)
+        expected = np.zeros(n)
+        expected[[0, -1]] = -0.5, 0.5
+        assert_allclose(np.sort(np.linalg.eigvalsh(probe)), expected, atol=1e-15)
 
     def test_index_collisions(self):
         v = np.eye(4)
