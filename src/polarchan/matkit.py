@@ -70,6 +70,24 @@ def _entry_scale(a: np.ndarray) -> float:
     return float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
 
 
+def _freeze(a) -> np.ndarray:
+    """An immutable complex128 copy of a: a read-only array over a ``bytes``
+    object, which numpy refuses to make writeable again."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return np.frombuffer(a.tobytes(), dtype=np.complex128).reshape(a.shape)
+
+
+def _is_frozen(a) -> bool:
+    """True when a's entries can never change: every array down its ``.base``
+    chain is read-only and the chain ends in a ``bytes`` object. A read-only
+    view of a writable array is not frozen, nor is an array over a bytearray."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return type(a) is bytes
+
+
 def _check_hermitian(a: np.ndarray, label: str) -> None:
     """Raise ValueError unless a is finite and ||a - a*||_F <= 1e-10 ||a||_F,
     compared on a scaled to unit entry scale so that neither norm over- or underflows."""

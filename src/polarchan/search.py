@@ -72,11 +72,21 @@ def _validated_state(m, label: str) -> np.ndarray:
     return m
 
 
-@dataclass
-class ChannelInstance:
-    """One or more (input, output) Hermitian positive semidefinite state pairs."""
+def _read_only_copy(m: np.ndarray) -> np.ndarray:
+    m = np.array(m)
+    m.flags.writeable = False
+    return m
 
-    pairs: list[tuple[np.ndarray, np.ndarray]]
+
+@dataclass(frozen=True)
+class ChannelInstance:
+    """One or more (input, output) Hermitian positive semidefinite state pairs.
+
+    The pairs are checked once and cannot change afterwards: ``pairs`` is a
+    tuple of read-only private copies, never the caller's arrays.
+    """
+
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
         if not self.pairs:
@@ -92,8 +102,8 @@ class ChannelInstance:
                 n = rho.shape[0]
             elif rho.shape[0] != n:
                 raise ValueError(f"pair {k} has dimension {rho.shape[0]}, expected {n}")
-            checked.append((rho, sigma))
-        self.pairs = checked
+            checked.append((_read_only_copy(rho), _read_only_copy(sigma)))
+        object.__setattr__(self, "pairs", tuple(checked))
 
     @property
     def n(self) -> int:

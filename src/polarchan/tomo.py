@@ -13,9 +13,12 @@ evaluation per phase. A full reconstruction spends n^2+n queries on state
 tomography of one output state plus 2(n-1) queries on diagonal-phase
 extraction, staying under the n^2+3n ceiling.
 
-A query on the state just evaluated still costs O(n^2): the oracle
-serialises the state, compares it byte for byte with its previous input, and
-copies the stored output.
+The oracle keeps its latest evaluation of a frozen state (``matkit._freeze``:
+read-only down its whole ``.base`` chain, which ends in a ``bytes`` object,
+so its entries can never change). A repeat query on that same object reads
+the oracle's frozen output without copying anything, so a tomography query
+costs O(1). Tomography freezes its input once and phase extraction its
+probe. Any other state is evaluated afresh.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import numpy as np
 from .matkit import (
     _child_seeds,
     _entry_scale,
+    _freeze,
+    _is_frozen,
     _relative_eigengap,
     frob_norm,
     herm_part,
@@ -65,7 +70,8 @@ class DegenerateStateError(ValueError):
 
 
 class ReconstructionError(RuntimeError):
-    """Channel reconstruction failed (solver did not converge, or phases inconsistent)."""
+    """Channel reconstruction failed (tomography output not a state, solver did
+    not converge, or phases inconsistent)."""
 
 
 def _check_indices(indices, n: int) -> None:
@@ -90,11 +96,10 @@ class ChannelOracle:
     the counter by exactly one per successful call. The oracle is for use from
     one thread.
 
-    ``apply`` reuses its latest evaluation: when the input matches the
-    previous one byte for byte it returns a copy of the stored output, so a
-    repeated query on one state costs O(n^2) after the first: serialising and
-    comparing the key, and copying the output. Counting does not depend on it:
-    each ``expectation`` calls ``apply`` and adds exactly one.
+    ``apply`` keeps its latest evaluation of a frozen input (see the module
+    docstring): a repeat query on that same object gets the stored frozen
+    output itself, in O(1). Any other input is evaluated afresh. Counting does
+    not depend on it: each ``expectation`` calls ``apply`` and adds exactly one.
     """
 
     def __init__(self, hidden_u):
@@ -108,8 +113,9 @@ class ChannelOracle:
         self._u = u.copy()
         self._uh = self._u.conj().T
         self._queries = 0
-        # (input bytes, output) of the latest evaluation; read once, replaced whole.
-        self._last: tuple[bytes, np.ndarray] | None = None
+        # (frozen input, frozen output) of the latest evaluation of a frozen
+        # state; read once, replaced whole.
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -120,20 +126,23 @@ class ChannelOracle:
         return self._queries
 
     def apply(self, state) -> np.ndarray:
-        """Evaluate Phi(state) = U state U* (not a measurement); always a fresh array.
-        A non-finite state raises before it is evaluated or stored."""
+        """Evaluate Phi(state) = U state U* (not a measurement): a fresh array, or
+        for a frozen state the oracle's frozen output. A non-finite state raises
+        before it is evaluated or stored."""
         s = square(state)
         if s.shape != self._u.shape:
             raise ValueError(f"state is {s.shape}, channel dimension is {self.dim}")
-        key = s.tobytes()
         last = self._last
-        if last is not None and last[0] == key:
-            return last[1].copy()
+        # only frozen inputs are stored, so the same object is unchanged
+        if last is not None and last[0] is s:
+            return last[1]
         if not np.isfinite(s).all():
             raise ValueError("state has non-finite entries")
         out = self._u @ s @ self._uh
-        self._last = (key, out)
-        return out.copy()
+        if _is_frozen(s):
+            out = _freeze(out)
+            self._last = (s, out)
+        return out
 
     def expectation(self, state, observable=None, *, entries=None) -> float:
         """One measurement: Re tr(Phi(state) observable).
@@ -181,10 +190,12 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     n = oracle.dim
     out = np.zeros((n, n), dtype=np.complex128)
     expectation = oracle.expectation
+    # one frozen copy for every query, so each repeat costs O(1) in the oracle
+    state = _freeze(input_state)
     for i in range(n):
         for j in range(i, n):
-            mp = expectation(input_state, entries=((i, j), (j, i), (0.5, 0.5)))
-            mm = expectation(input_state, entries=((i, j), (j, i), (-0.5j, 0.5j)))
+            mp = expectation(state, entries=((i, j), (j, i), (0.5, 0.5)))
+            mm = expectation(state, entries=((i, j), (j, i), (-0.5j, 0.5j)))
             out[i, j] = mp - 1j * mm
             out[j, i] = mp + 1j * mm
     return out
@@ -222,7 +233,7 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> compl
     v = square(v)
     if u0.shape != v.shape:
         raise ValueError("u0 and v must have the same shape")
-    probe = probe_state(v, p, q)
+    probe = _freeze(probe_state(v, p, q))
     w = u0 @ (v[:, p] + v[:, q]) / np.sqrt(2.0)
     w_i = u0 @ (v[:, p] + 1j * v[:, q]) / np.sqrt(2.0)
     m_re = oracle.expectation(probe, np.outer(w, w.conj()))
@@ -270,7 +281,9 @@ def reconstruct(
     diagonal phases against the eigenbasis of rho0 (one probe, 2 queries per
     phase, 2(n-1) total). The recovered matrix u0 V diag(d) V* equals the hidden
     unitary up to a global phase and is checked against the channel on five
-    random test states via direct evaluation (not counted).
+    random test states via direct evaluation (not counted). A tomography
+    output that fails the state rule (only an inexact oracle can return one)
+    raises ``ReconstructionError``.
 
     ``solver_config`` defaults to ``SolverConfig(tol=RECONSTRUCT_TOL)``, a
     tighter tolerance than the solver's own default so phase extraction
@@ -293,8 +306,22 @@ def reconstruct(
     start = oracle.queries
     sigma0 = state_tomography(oracle, rho0)
     tomography_queries = oracle.queries - start
+    try:
+        instance = ChannelInstance([(rho0, sigma0)])
+    except ValueError as exc:
+        # rho0 passed this rule above, so the tomography output failed it
+        evals = np.linalg.eigvalsh(sigma0)
+        ratio = evals[0] / np.abs(evals).max()
+        cause = (
+            f"its smallest eigenvalue is {ratio:.3g} times its largest"
+            if ratio < -1e-10
+            else str(exc)
+        )
+        raise ReconstructionError(
+            f"tomography output Phi(rho0) fails the state rule: {cause}"
+        ) from exc
     cfg = solver_config if solver_config is not None else SolverConfig(tol=RECONSTRUCT_TOL)
-    result = solve(ChannelInstance([(rho0, sigma0)]), cfg)
+    result = solve(instance, cfg)
     if result.status == STATUS_MAX_ITERS:
         raise ReconstructionError(
             f"solver hit the iteration cap with objective {result.trace.objective[-1]:.3e}"

@@ -242,3 +242,46 @@ def test_square_rejects_nonsquare():
         matkit.square(np.ones((2, 3)))
     with pytest.raises(ValueError):
         matkit.square(np.zeros((0, 0)))
+
+
+class TestFrozenStates:
+    def test_freeze_copies_bitwise_and_cannot_be_made_writeable(self):
+        a = random_density(5, 3)
+        f = matkit._freeze(a)
+        assert f.dtype == np.complex128 and f.shape == a.shape
+        assert f.tobytes() == a.tobytes()
+        assert not np.shares_memory(f, a)
+        # numpy refuses to make an array over bytes writeable, at every link
+        chain = f
+        while isinstance(chain, np.ndarray):
+            with pytest.raises(ValueError):
+                chain.flags.writeable = True
+            chain = chain.base
+        assert type(chain) is bytes
+
+    def test_freeze_converts_and_makes_contiguous(self):
+        a = np.arange(9.0).reshape(3, 3)
+        f = matkit._freeze(a.T)
+        assert f.flags.c_contiguous and f.dtype == np.complex128
+        assert np.array_equal(f, a.T)
+        assert matkit._is_frozen(f)
+
+    def test_writable_and_borrowed_arrays_are_not_frozen(self):
+        class ClaimsBytes(np.ndarray):
+            @property
+            def base(self):
+                return b""
+
+        a = random_density(3, 4)
+        view = a.view()
+        view.flags.writeable = False
+        over_bytearray = np.frombuffer(bytearray(a.tobytes()), dtype=np.complex128)
+        over_bytearray.flags.writeable = False
+        assert not matkit._is_frozen(a)
+        assert not matkit._is_frozen(view)  # read-only, but a can still change it
+        assert not matkit._is_frozen(over_bytearray.reshape(3, 3))  # read-only throughout
+        assert not matkit._is_frozen(a.tolist())
+        # a subclass can report any base; the writeable flag is numpy's own
+        assert not matkit._is_frozen(a.view(ClaimsBytes))
+        assert matkit._is_frozen(matkit._freeze(a))
+        assert matkit._is_frozen(matkit._freeze(a).T)  # a view of a frozen array

@@ -111,6 +111,21 @@ class TestChannelInstance:
         with pytest.raises(ValueError, match=match):
             ChannelInstance(pairs)
 
+    def test_pairs_cannot_change_after_the_check(self):
+        rho = np.diag([0.7, 0.3]).astype(complex)
+        inst = ChannelInstance([(rho, rho)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.pairs = [(np.diag([1.0, -0.5]), rho)]
+        with pytest.raises(AttributeError):
+            inst.pairs.append((rho, rho))
+        # the instance holds read-only copies, not the caller's arrays
+        rho[0, 0] = 1e200
+        stored = inst.pairs[0][0]
+        assert stored[0, 0] == 0.7 and not np.shares_memory(stored, rho)
+        with pytest.raises(ValueError):
+            stored[0, 0] = 1e200
+        assert isinstance(inst.pairs, tuple) and len(inst.pairs) == 1
+
     def test_largest_accepted_scale_solves_without_overflow(self):
         # n * max entry = 2e140: the solve runs with every trace entry finite
         rho, sigma = np.diag([1e140, 5e139]), np.diag([5e139, 1e140])

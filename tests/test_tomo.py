@@ -1,9 +1,14 @@
+import re
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from polarchan.equiv import normalized_diff
 from polarchan.matkit import (
+    _freeze,
+    _is_frozen,
     frob_norm,
     herm_part,
     hermitian_eig,
@@ -258,6 +263,25 @@ class TestChannelOracle:
         assert frob_norm(out_b - u @ b @ u.conj().T) < 1e-14
         assert np.array_equal(out_a2, out_a)
 
+    def test_frozen_state_gets_the_stored_frozen_output(self):
+        u = random_unitary(6, 19)
+        oracle = ChannelOracle(u)
+        a = random_density(6, 20)
+        expected = (u @ a @ u.conj().T).tobytes()
+        first = oracle.apply(a)  # a writable state gets its own fresh array
+        assert first.flags.writeable and first.tobytes() == expected
+        frozen = _freeze(a)
+        out = oracle.apply(frozen)
+        assert not out.flags.writeable and out.tobytes() == expected
+        assert oracle.apply(frozen) is out  # a repeat on the same object, no copy
+        fresh = oracle.apply(a.copy())  # the same bytes, writable: fresh again
+        assert fresh.flags.writeable and fresh.tobytes() == expected
+        fresh[:] = 7.0
+        assert oracle.apply(frozen) is out  # a writable query keeps the stored one
+        assert out.tobytes() == expected
+        assert oracle.apply(_freeze(a)) is not out  # another frozen object is a miss
+        assert oracle.apply(_freeze(a)).tobytes() == expected
+
 
 def _nan_at_01(m):
     m = np.array(m, dtype=np.complex128)
@@ -350,6 +374,45 @@ class TestStateTomography:
                     expected[j, i] = mp + 1j * mm
         assert state_tomography(oracle, rho).tobytes() == expected.tobytes()
         assert oracle.queries == reference_oracle.queries == n * n + n
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 128])
+    def test_frozen_and_writable_inputs_agree_bitwise(self, n):
+        u = random_unitary(n, 60 + n)
+        rho = random_density(n, 61 + n)
+        snapshot = rho.tobytes()
+        outputs, deltas = [], []
+        for state in (_freeze(rho), rho):
+            oracle = EvaluationCountingOracle(u)
+            outputs.append(state_tomography(oracle, state).tobytes())
+            deltas.append(oracle.queries)
+            assert oracle.evaluations == 1
+        assert outputs[0] == outputs[1]
+        assert deltas == [n * n + n] * 2
+        # the caller's array is neither written nor kept
+        assert rho.tobytes() == snapshot
+        ref = weakref.ref(rho)
+        del rho, state
+        assert ref() is None
+
+    def test_tomography_and_phase_queries_send_one_frozen_copy(self):
+        seen = []
+
+        class SeeingOracle(ChannelOracle):
+            def apply(self, state):
+                seen.append(state)
+                return super().apply(state)
+
+        n = 4
+        hidden = random_unitary(n, 70)
+        oracle = SeeingOracle(hidden)
+        rho = random_density(n, 71)
+        state_tomography(oracle, rho)
+        assert len(seen) == n * n + n and all(s is seen[0] for s in seen)
+        assert _is_frozen(seen[0]) and not np.shares_memory(seen[0], rho)
+        seen.clear()
+        v = hermitian_eig(rho).eigenvectors
+        assert extract_phase_product(oracle, hidden, v, 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert len(seen) == 2 and seen[0] is seen[1] and _is_frozen(seen[0])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_observables_sent(self, n):
@@ -572,6 +635,38 @@ class TestReconstruct:
         oracle = ChannelOracle(hidden)
         with pytest.raises(ReconstructionError):
             reconstruct(oracle, random_density(6, 51), SolverConfig(max_iters=3, tol=1e-28))
+
+    @pytest.mark.parametrize(
+        "misread, rho0, cause",
+        [
+            # 1e-6 low on the E+ query of entry (3, 3)
+            (
+                lambda entries, value: value - 1e-6 if entries == ((3, 3), (3, 3), (0.5, 0.5)) else value,
+                np.diag([0.5, 0.3, 0.2, 0.0]),
+                r"its smallest eigenvalue is -2e-06 times its largest$",
+            ),
+            # every reading 1e150 times too large: the rule's own message, no ratio
+            (
+                lambda entries, value: 1e150 * value,
+                np.diag([0.4, 0.3, 0.2, 0.1]),
+                r"sigma\[0\] is too large",
+            ),
+        ],
+        ids=["not-semidefinite", "over-scale"],
+    )
+    def test_tomography_output_failing_the_state_rule_is_a_reconstruction_error(
+        self, misread, rho0, cause
+    ):
+        class InexactOracle(ChannelOracle):
+            def expectation(self, state, observable=None, *, entries=None):
+                return misread(entries, super().expectation(state, observable, entries=entries))
+
+        n = 4
+        oracle = InexactOracle(np.eye(n))
+        with pytest.raises(ReconstructionError) as info:
+            reconstruct(oracle, rho0)
+        assert re.match(r"tomography output Phi\(rho0\) fails the state rule: " + cause, str(info.value))
+        assert oracle.queries == n * n + n
 
     def test_channel_evaluations_per_stage(self):
         # one for tomography, one per phase, five for verification
