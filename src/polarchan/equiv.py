@@ -26,7 +26,7 @@ __all__ = [
 PIVOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalRelation:
     """Diagonal of V* U2* U1 V and the Frobenius mass left off the diagonal."""
 

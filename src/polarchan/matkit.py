@@ -110,7 +110,7 @@ def _check_tolerance(value, name: str, positive: bool = False) -> None:
         raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianEigen:
     """Eigenvalues sorted descending; column i of eigenvectors pairs with eigenvalue i."""
 
@@ -145,7 +145,7 @@ def _relative_eigengap(w: np.ndarray) -> float:
     return float(np.min(np.abs(np.diff(w)))) / span if span > 0 else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarFactors:
     """a = unitary @ H with H Hermitian PSD; H's eigenvalues are singular_values (descending)."""
 

@@ -78,7 +78,7 @@ def _read_only_copy(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelInstance:
     """One or more (input, output) Hermitian positive semidefinite state pairs.
 
@@ -136,7 +136,7 @@ class SolverConfig:
             raise ValueError(f"init must be 'identity' or 'random', got {self.init!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Per-iteration objective, update norm ||U_new - U||_F, and critical-point residual."""
 
@@ -153,7 +153,7 @@ class IterationTrace:
         return int(np.count_nonzero(np.diff(self.objective) > slack))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     u_hat: np.ndarray
     trace: IterationTrace

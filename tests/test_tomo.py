@@ -199,10 +199,12 @@ class TestChannelOracle:
             {"entries": ((True, 0), (2, 1), (0.5, 0.5))},  # numpy would read True as a mask
             {"entries": ((2, 1), (False, 0), (0.5, 0.5))},
             {"entries": ((1.0,), (1,), (1.0,))},
+            {"entries": ((np.True_, 0), (2, 1), (0.5, 0.5))},
+            {"entries": ((2, 1), (0, np.True_), (0.5, 0.5))},
         ],
         ids=["negative-row", "negative-col", "col-too-large", "row-too-large",
              "short-cols", "short-weights", "both-forms", "neither-form",
-             "bool-row", "bool-col", "float-row"],
+             "bool-row", "bool-col", "float-row", "numpy-bool-row", "numpy-bool-col"],
     )
     def test_bad_entries_rejected_before_counting(self, kwargs):
         oracle = ChannelOracle(random_unitary(3, 34))
@@ -226,6 +228,33 @@ class TestChannelOracle:
             )
             assert np.float64(via_np).tobytes() == np.float64(via_int).tobytes()
         assert oracle.queries == 4
+
+    @pytest.mark.parametrize(
+        "weight, same",
+        [
+            (np.float32(0.5), 0.5),
+            (np.complex64(-0.5j), -0.5j),
+            (np.float64(-0.75), -0.75),
+            (np.complex128(0.25 - 0.5j), 0.25 - 0.5j),
+        ],
+        ids=["float32", "complex64", "float64", "complex128"],
+    )
+    def test_numpy_weights_match_python_bitwise(self, weight, same):
+        # a narrowed product would lose the output's low bits
+        oracle = ChannelOracle(random_unitary(4, 42))
+        rho = random_density(4, 43)
+        for rows, cols in [((1, 3), (3, 1)), ((2,), (2,)), ((0, 3, 1), (2, 0, 1))]:
+            via_np = oracle.expectation(rho, entries=(rows, cols, (weight,) * len(rows)))
+            via_py = oracle.expectation(rho, entries=(rows, cols, (same,) * len(rows)))
+            assert np.float64(via_np).tobytes() == np.float64(via_py).tobytes()
+        assert oracle.queries == 6
+
+    @pytest.mark.parametrize("weight", ["0.5", None, b"1"])
+    def test_non_numeric_weight_rejected_before_counting(self, weight):
+        oracle = ChannelOracle(random_unitary(3, 44))
+        with pytest.raises(TypeError):
+            oracle.expectation(random_density(3, 45), entries=((0, 1), (1, 0), (0.5, weight)))
+        assert oracle.queries == 0
 
     def test_apply_is_bitwise_the_direct_product(self):
         u = random_unitary(8, 40)
@@ -423,6 +452,17 @@ class TestStateTomography:
         assert all(np.array_equal(m, m.conj().T) for m in sent)
         # the diagonal antisymmetric observables are zero but still counted
         assert sum(not m.any() for m in sent) == n
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_query_order(self, n):
+        # query k is E+ (k even) or E- (k odd) of the (k // 2)-th pair i <= j, row-major
+        oracle = RecordingOracle(random_unitary(n, 52 + n))
+        state_tomography(oracle, random_density(n, 53 + n))
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        assert len(oracle.observables) == 2 * len(pairs)
+        for k, sent in enumerate(oracle.observables):
+            expected = dense_e_pm(n, *pairs[k // 2])[k % 2]
+            assert np.array_equal(sent, expected), (k, pairs[k // 2])
 
     def test_probe_linearity(self):
         # oracle expectation on a probe equals the same functional on the
