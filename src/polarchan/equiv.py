@@ -38,12 +38,21 @@ class PivotError(ValueError):
     """No pivot entry is large enough in both matrices to normalize by."""
 
 
+def _finite_square(a, name: str) -> np.ndarray:
+    """``square(a)``, raising ValueError when it has a NaN or infinite entry."""
+    m = square(a)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
 def relation_matrix(u1, u2, v) -> DiagonalRelation:
     """Conjugate U2* U1 into the basis V; the result is a unimodular diagonal
-    exactly when U1 and U2 are diagonal-phase equivalent over V."""
-    u1 = square(u1)
-    u2 = square(u2)
-    v = square(v)
+    exactly when U1 and U2 are diagonal-phase equivalent over V. A non-finite
+    argument raises ValueError before any arithmetic."""
+    u1 = _finite_square(u1, "u1")
+    u2 = _finite_square(u2, "u2")
+    v = _finite_square(v, "v")
     if not (u1.shape == u2.shape == v.shape):
         raise ValueError("all three matrices must share one shape")
     delta = v.conj().T @ u2.conj().T @ u1 @ v
@@ -52,7 +61,8 @@ def relation_matrix(u1, u2, v) -> DiagonalRelation:
 
 
 def is_equiv_under(u1, u2, v, tol: float) -> bool:
-    """True iff U1 = U2 V D V* holds within tol for some unimodular diagonal D."""
+    """True iff U1 = U2 V D V* holds within tol for some unimodular diagonal D.
+    A non-finite argument raises ValueError (see ``relation_matrix``)."""
     _check_tolerance(tol, "tol")
     rel = relation_matrix(u1, u2, v)
     if rel.offdiag_mass > tol:
@@ -67,10 +77,11 @@ def normalized_diff(u, uprime, pivot: str = "entry11") -> float:
     Both matrices pivot on the position of the first matrix's largest-modulus
     entry; pivot='entry11' pivots on entry (0, 0) instead whenever that entry
     clears PIVOT_TOL in both. PivotError means the chosen pivot is tiny in
-    one of the two matrices.
+    one of the two matrices. A non-finite argument raises ValueError before
+    any arithmetic.
     """
-    u = square(u)
-    up = square(uprime)
+    u = _finite_square(u, "u")
+    up = _finite_square(uprime, "uprime")
     if u.shape != up.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {up.shape}")
     if pivot not in ("entry11", "max-modulus-entry"):

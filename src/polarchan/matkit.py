@@ -53,9 +53,13 @@ def frob_norm(a) -> float:
 
 
 def herm_part(a) -> np.ndarray:
-    """Hermitian part (A + A*)/2."""
+    """Hermitian part (A + A*)/2, bitwise 0.5 * (A + A*)."""
     a = square(a)
-    return (a + a.conj().T) / 2.0
+    h = a + a.conj().T
+    # halving by a multiply, the scalar first: a complex division costs about
+    # as much as the sum, and h *= 0.5 rounds a subnormal half to the other
+    # signed zero
+    return np.multiply(0.5, h, out=h)
 
 
 def skew_part(a) -> np.ndarray:

@@ -4,14 +4,15 @@ The oracle hides a unitary U and answers expectation queries
 Re tr(Phi(state) observable) against the channel Phi(rho) = U rho U*,
 counting every query. ``ChannelOracle.expectation`` is the only measurement
 primitive: state tomography and phase extraction both call it directly.
-An observable goes in as a dense matrix or as its nonzero entries
-(rows, cols, weights); tomography sends each of its E+/E- observables as
-its two entries, so a query reads two entries of the channel output, and
-phase extraction reads one probe per phase, the traceless
-(v_p v_q* + v_q v_p*)/2, through two dense projectors, one channel
-evaluation per phase. A full reconstruction spends n^2+n queries on state
-tomography of one output state plus 2(n-1) queries on diagonal-phase
-extraction, staying under the n^2+3n ceiling.
+An observable goes in as a dense matrix, as its nonzero entries
+(rows, cols, weights), or as a vector w standing for the rank-1 projector
+w w*. Tomography sends each of its E+/E- observables as its two entries, so
+a query reads two entries of the channel output. Phase extraction makes two
+rank-1 reads, Re w* Phi(s) w, of one channel evaluation per phase: its probe
+s is the traceless (v_p v_q* + v_q v_p*)/2, and no n x n projector is
+built. A full reconstruction spends n^2+n queries on state tomography of one
+output state plus 2(n-1) queries on diagonal-phase extraction, staying under
+the n^2+3n ceiling.
 
 The oracle keeps its latest evaluation of a frozen state (``matkit._freeze``:
 read-only down its whole ``.base`` chain, which ends in a ``bytes`` object,
@@ -68,6 +69,8 @@ ALPHA_UNIT_TOL = 1e-3
 RECONSTRUCT_TOL = 1e-28
 # Seed of the five random test states reconstruct checks its result on.
 CHECK_SEED = 0
+# expectation's message when it is given other than one observable form.
+_ONE_FORM = "give exactly one of observable, entries and vector"
 
 
 class DegenerateStateError(ValueError):
@@ -161,30 +164,32 @@ class ChannelOracle:
             self._last = (s, out)
         return out
 
-    def expectation(self, state, observable=None, *, entries=None) -> float:
+    def expectation(self, state, observable=None, *, entries=None, vector=None) -> float:
         """One measurement: Re tr(Phi(state) observable).
 
-        Give the observable either as a matrix or as its nonzero entries,
-        ``entries=(rows, cols, weights)`` with observable[rows[k], cols[k]] =
-        weights[k] (repeated positions add); the entries form reads only
-        those entries of Phi(state). Exactly one of the two forms is allowed;
-        entry indices are integers (not bools) in range. Each weight is taken
-        as an exact complex128 value whatever its type (a float32 or
-        complex64 weight widens, so the product is never narrowed) and the
-        value sums Re(Phi(state)[col, row] * weight) in complex128
-        arithmetic; a non-numeric weight raises TypeError. A non-finite state
-        or expectation value raises. A call that raises is not counted.
+        The observable comes in exactly one of three forms:
+
+        - ``observable``, a dense n x n matrix;
+        - ``entries=(rows, cols, weights)``, its nonzero entries, with
+          observable[rows[k], cols[k]] = weights[k] (repeated positions add).
+          Only those entries of Phi(state) are read. Entry indices are
+          integers (not bools) in range. Each weight is taken as an exact
+          complex128 value whatever its type (a float32 or complex64 weight
+          widens, so the product is never narrowed) and the value sums
+          Re(Phi(state)[col, row] * weight) in complex128 arithmetic; a
+          non-numeric weight raises TypeError;
+        - ``vector=w``, a length-n vector standing for the rank-1 projector
+          w w*: the value is Re w* Phi(state) w, one O(n^2) product with no
+          n x n observable built. w must have finite entries.
+
+        A non-finite state or expectation value raises. A call that raises
+        is not counted; a bad ``entries`` or ``vector`` raises before the
+        channel is evaluated.
         """
-        if (observable is None) == (entries is None):
-            raise ValueError("give exactly one of observable and entries")
-        if entries is None:
-            out = self.apply(state)
-            obs = square(observable)
-            if obs.shape != out.shape:
-                raise ValueError(f"observable is {obs.shape}, channel dimension is {self.dim}")
-            # sum_ij out_ij obs_ji, without forming the product
-            value = float(np.vdot(obs.T.conj(), out).real)
-        else:
+        if entries is not None:
+            # tomography's path: the form check costs it two identity tests
+            if observable is not None or vector is not None:
+                raise ValueError(_ONE_FORM)
             rows, cols, weights = entries
             if not len(rows) == len(cols) == len(weights):
                 raise ValueError("entries need rows, cols and weights of equal length")
@@ -197,6 +202,23 @@ class ChannelOracle:
                 if type(w) is not complex:
                     w = _weight(w)
                 value += (out.item(c, r) * w).real
+        elif (observable is None) == (vector is None):
+            raise ValueError(_ONE_FORM)
+        elif vector is not None:
+            w = np.asarray(vector, dtype=np.complex128)
+            if w.shape != (self.dim,):
+                raise ValueError(f"vector is {w.shape}, channel dimension is {self.dim}")
+            if not np.isfinite(w).all():
+                raise ValueError("vector has non-finite entries")
+            out = self.apply(state)
+            value = float(np.vdot(w, out @ w).real)
+        else:
+            out = self.apply(state)
+            obs = square(observable)
+            if obs.shape != out.shape:
+                raise ValueError(f"observable is {obs.shape}, channel dimension is {self.dim}")
+            # sum_ij out_ij obs_ji, without forming the product
+            value = float(np.vdot(obs.T.conj(), out).real)
         if not math.isfinite(value):
             raise ValueError(f"expectation value is {value}, not finite")
         self._queries += 1
@@ -254,10 +276,12 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> compl
     When u0 solves the single-pair problem for a state with eigenbasis V, the
     hidden unitary factors as U = u0 V diag(d) V*, so the channel maps
     v_p v_q* to d_p conj(d_q) (u0 v_p)(u0 v_q)*. Both queries measure the one
-    ``probe_state``: projecting its channel output onto w = u0 (v_p + v_q)/sqrt(2)
-    reads Re(alpha)/2, and onto w' = u0 (v_p + i v_q)/sqrt(2) reads -Im(alpha)/2.
-    The second query repeats the first one's input, so the oracle evaluates
-    the channel once per call.
+    ``probe_state`` as a rank-1 read: projecting its channel output onto
+    w = u0 (v_p + v_q)/sqrt(2) reads Re(alpha)/2, and onto
+    w' = u0 (v_p + i v_q)/sqrt(2) reads -Im(alpha)/2. Each read is
+    Re w* Phi(probe) w, so no n x n projector is built. The second query
+    repeats the first one's input, so the oracle evaluates the channel once
+    per call.
     """
     u0 = square(u0)
     v = square(v)
@@ -266,8 +290,8 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> compl
     probe = _freeze(probe_state(v, p, q))
     w = u0 @ (v[:, p] + v[:, q]) / np.sqrt(2.0)
     w_i = u0 @ (v[:, p] + 1j * v[:, q]) / np.sqrt(2.0)
-    m_re = oracle.expectation(probe, np.outer(w, w.conj()))
-    m_im = oracle.expectation(probe, np.outer(w_i, w_i.conj()))
+    m_re = oracle.expectation(probe, vector=w)
+    m_im = oracle.expectation(probe, vector=w_i)
     alpha = complex(2.0 * (m_re - 1j * m_im))
     if abs(abs(alpha) - 1.0) > ALPHA_UNIT_TOL:
         raise ReconstructionError(

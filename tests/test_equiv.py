@@ -99,6 +99,35 @@ def test_shape_mismatch_rejected(call):
         call(np.eye(3), np.eye(2))
 
 
+def _with_entry(m, value):
+    m = np.array(m, dtype=np.complex128)
+    m[1, 2] = value
+    return m
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call, position, name",
+    [
+        (relation_matrix, 0, "u1"),
+        (relation_matrix, 1, "u2"),
+        (relation_matrix, 2, "v"),
+        (lambda *m: is_equiv_under(*m, tol=1e-8), 0, "u1"),
+        (lambda *m: is_equiv_under(*m, tol=1e-8), 1, "u2"),
+        (lambda *m: is_equiv_under(*m, tol=1e-8), 2, "v"),
+        (normalized_diff, 0, "u"),
+        (normalized_diff, 1, "uprime"),
+    ],
+    ids=["relation-u1", "relation-u2", "relation-v", "equiv-u1", "equiv-u2", "equiv-v",
+         "diff-u", "diff-uprime"],
+)
+def test_non_finite_argument_rejected(call, position, name, bad):
+    args = [np.eye(3), np.eye(3), np.eye(3)][: 2 if call is normalized_diff else 3]
+    args[position] = _with_entry(args[position], bad)
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        call(*args)
+
+
 class TestNormalizedDiff:
     def test_global_phase_cancels(self):
         u = random_unitary(5, 25)

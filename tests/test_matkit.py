@@ -55,6 +55,34 @@ class TestHermSkewSplit:
             a = _rand_complex(rng, 6)
             assert_allclose(herm_part(a) + skew_part(a), a, rtol=0, atol=1e-14 * np.abs(a).max())
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            _rand_complex(np.random.default_rng(11), 7),
+            _rand_complex(np.random.default_rng(12), 1),
+            -np.eye(3, dtype=np.complex128),  # off the diagonal, -0-0j
+            # signed zeros: (-0-1j)/2.0 would keep a -0.0 real part
+            np.array([[0.0, -0.0 - 1j, 1 + 0j], [-0.0 + 1j, -1.0, -0.0], [0j, -1 - 0j, -0.0j]]),
+            # halves of subnormal parts: h *= 0.5 would flip the sign of a zero
+            np.array([
+                [5e-324, 1 - 5e-324j, 1e-310],
+                [0j, -5e-324 + 1e-310j, 5e-324 - 5e-324j],
+                [-1e-310j, 0j, 1e-310],
+            ]),
+            np.array([[0.85e308, 1e308 - 1e308j], [-1e308 + 0.5e308j, -1e308j]]),
+            0.8e308 * (np.random.default_rng(13).random((5, 5)) - 0.5j),
+        ],
+        ids=["random", "1x1", "minus-identity", "signed-zeros", "subnormal", "near-max",
+             "near-max-random"],
+    )
+    def test_bitwise_half_of_the_sum(self, a):
+        snapshot = a.tobytes()
+        h = herm_part(a)
+        assert h.tobytes() == (0.5 * (a + a.conj().T)).tobytes()
+        assert h.flags.c_contiguous and h.flags.writeable and h.flags.owndata
+        assert not np.shares_memory(h, a)
+        assert a.tobytes() == snapshot
+
     def test_split_identity(self):
         # H = X skew(X*H) + X herm(X*H) to round-off
         rng = np.random.default_rng(9)

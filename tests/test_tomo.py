@@ -50,6 +50,14 @@ def densify(n, entries):
     return m
 
 
+def projector(w):
+    return np.outer(w, np.conj(w))
+
+
+def _rand_complex(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
 class RecordingOracle(ChannelOracle):
     """A ChannelOracle that keeps a copy of every state and a dense copy of
     every observable it is queried with."""
@@ -59,10 +67,16 @@ class RecordingOracle(ChannelOracle):
         self.states = []
         self.observables = []
 
-    def expectation(self, state, observable=None, *, entries=None):
+    def expectation(self, state, observable=None, *, entries=None, vector=None):
         self.states.append(np.array(state, dtype=np.complex128))
-        self.observables.append(np.array(observable) if entries is None else densify(self.dim, entries))
-        return super().expectation(state, observable, entries=entries)
+        if vector is not None:
+            dense = projector(np.asarray(vector, dtype=np.complex128))
+        elif entries is not None:
+            dense = densify(self.dim, entries)
+        else:
+            dense = np.array(observable)
+        self.observables.append(dense)
+        return super().expectation(state, observable, entries=entries, vector=vector)
 
 
 class EvaluationCountingOracle(ChannelOracle):
@@ -91,8 +105,19 @@ def two_probe_phase_product(oracle, u0, v, p, q):
     plus = 0.5 * (cross + cross.conj().T)
     minus = (cross - cross.conj().T) / 2j
     w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
-    proj = np.outer(w, w.conj())
-    return complex(2.0 * (oracle.expectation(plus, proj) + 1j * oracle.expectation(minus, proj)))
+    m_plus = oracle.expectation(plus, vector=w)
+    m_minus = oracle.expectation(minus, vector=w)
+    return complex(2.0 * (m_plus + 1j * m_minus))
+
+
+def dense_phase_product(oracle, u0, v, p, q):
+    """extract_phase_product's one-probe route read through dense projectors."""
+    probe = probe_state(v, p, q)
+    w = u0 @ (v[:, p] + v[:, q]) / np.sqrt(2.0)
+    w_i = u0 @ (v[:, p] + 1j * v[:, q]) / np.sqrt(2.0)
+    m_re = oracle.expectation(probe, projector(w))
+    m_im = oracle.expectation(probe, projector(w_i))
+    return complex(2.0 * (m_re - 1j * m_im))
 
 
 class TestChannelOracle:
@@ -312,6 +337,67 @@ class TestChannelOracle:
         assert oracle.apply(_freeze(a)).tobytes() == expected
 
 
+class TestRankOneObservable:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 64])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["writable", "frozen"])
+    def test_matches_the_dense_projector(self, n, frozen):
+        rng = np.random.default_rng(80 + n)
+        oracle = ChannelOracle(random_unitary(n, 81 + n))
+        states = [random_density(n, 82 + n), herm_part(_rand_complex(rng, n)), _rand_complex(rng, n)]
+        for s in states:
+            s = _freeze(s) if frozen else s
+            for scale in (1.0, 1e-3, 40.0):
+                w = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                before = oracle.queries
+                rank_one = oracle.expectation(s, vector=w)
+                after_rank_one = oracle.queries
+                dense = oracle.expectation(s, projector(w))
+                assert type(rank_one) is float
+                assert after_rank_one - before == oracle.queries - after_rank_one == 1
+                bound = 1e-14 * np.vdot(w, w).real * frob_norm(s)
+                assert abs(rank_one - dense) <= bound, (rank_one, dense, bound)
+
+    def test_vector_coerces_like_complex128(self):
+        oracle = ChannelOracle(random_unitary(3, 90))
+        s = random_density(3, 91)
+        as_list = oracle.expectation(s, vector=[1, 0.5, -2])
+        as_complex = oracle.expectation(s, vector=np.array([1, 0.5, -2], dtype=np.complex128))
+        assert np.float64(as_list).tobytes() == np.float64(as_complex).tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"vector": np.ones(2)},
+            {"vector": np.ones(4)},
+            {"vector": np.ones((3, 1))},
+            {"vector": np.eye(3)},
+            {"vector": np.ones(())},
+            {"vector": np.array([1.0, np.nan, 0.0])},
+            {"vector": np.array([1.0, 0.0, np.inf])},
+            {"vector": np.array([-np.inf * 1j, 0.0, 0.0])},
+            {"vector": np.ones(3), "observable": np.eye(3)},
+            {"vector": np.ones(3), "entries": ((0,), (0,), (1.0,))},
+            {"vector": np.ones(3), "observable": np.eye(3), "entries": ((0,), (0,), (1.0,))},
+            {},
+        ],
+        ids=["short", "long", "column", "matrix", "scalar", "nan", "inf", "-inf-imag",
+             "with-observable", "with-entries", "all-three", "no-form"],
+    )
+    def test_bad_vector_rejected_before_evaluating(self, kwargs):
+        u = random_unitary(3, 92)
+        oracle = ChannelOracle(u)
+        kept = _freeze(random_density(3, 93))
+        oracle.expectation(kept, vector=np.ones(3))
+        stored = oracle.apply(kept)
+        other = _freeze(random_density(3, 94))
+        with pytest.raises(ValueError):
+            oracle.expectation(other, **kwargs)
+        assert oracle.queries == 1
+        # the rejected query never reached the channel, so the stored evaluation stays
+        assert oracle.apply(kept) is stored
+        assert stored.tobytes() == (u @ kept @ u.conj().T).tobytes()
+
+
 def _nan_at_01(m):
     m = np.array(m, dtype=np.complex128)
     m[0, 1] = np.nan
@@ -325,8 +411,11 @@ def _nan_at_01(m):
         {"state": _nan_at_01(random_density(3, 52)), "entries": ((0,), (1,), (1.0,))},
         {"state": random_density(3, 53), "observable": _nan_at_01(np.eye(3))},
         {"state": random_density(3, 53), "entries": ((0, 1), (1, 0), (0.5, np.nan))},
+        {"state": _nan_at_01(random_density(3, 52)), "vector": np.ones(3)},
+        {"state": random_density(3, 53), "vector": np.array([1.0, np.nan, 0.0])},
     ],
-    ids=["nan-state", "nan-state-entries", "nan-observable", "nan-weight"],
+    ids=["nan-state", "nan-state-entries", "nan-observable", "nan-weight", "nan-state-vector",
+         "nan-vector"],
 )
 def test_non_finite_query_rejected_before_counting(kwargs):
     u = random_unitary(3, 54)
@@ -565,11 +654,13 @@ class TestExtractPhaseProduct:
         d = np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
         hidden = class_member(u0, v, d)
         oracle, reference_oracle = ChannelOracle(hidden), ChannelOracle(hidden)
+        dense_oracle = ChannelOracle(hidden)
         for q in range(1, n):
             alpha = extract_phase_product(oracle, u0, v, 0, q)
             expected = two_probe_phase_product(reference_oracle, u0, v, 0, q)
             assert abs(alpha - expected) < 1e-12
             assert np.float64(alpha.real).tobytes() == np.float64(expected.real).tobytes()
+            assert abs(alpha - dense_phase_product(dense_oracle, u0, v, 0, q)) < 1e-12
         assert oracle.queries == reference_oracle.queries == 2 * (n - 1)
 
     def test_both_queries_send_one_probe(self):
@@ -583,6 +674,16 @@ class TestExtractPhaseProduct:
         w = u0 @ (v[:, 3] + v[:, 1]) / np.sqrt(2.0)
         w_i = u0 @ (v[:, 3] + 1j * v[:, 1]) / np.sqrt(2.0)
         assert_allclose(oracle.observables, [np.outer(w, w.conj()), np.outer(w_i, w_i.conj())], atol=0)
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_one_channel_evaluation_per_probe(self, n):
+        u0 = random_unitary(n, 66 + n)
+        v = hermitian_eig(random_density(n, 67 + n)).eigenvectors
+        oracle = EvaluationCountingOracle(u0)
+        for q in range(1, n):
+            assert extract_phase_product(oracle, u0, v, 0, q) == pytest.approx(1.0, abs=1e-12)
+            assert oracle.evaluations == q
+        assert oracle.queries == 2 * (n - 1)
 
     def test_equal_indices_rejected(self):
         v = np.eye(3)
