@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import _check_tolerance, frob_norm, square
+from .matkit import _check_finite, _check_tolerance, frob_norm, square
 
 __all__ = [
     "DiagonalRelation",
@@ -38,21 +38,13 @@ class PivotError(ValueError):
     """No pivot entry is large enough in both matrices to normalize by."""
 
 
-def _finite_square(a, name: str) -> np.ndarray:
-    """``square(a)``, raising ValueError when it has a NaN or infinite entry."""
-    m = square(a)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return m
-
-
 def relation_matrix(u1, u2, v) -> DiagonalRelation:
     """Conjugate U2* U1 into the basis V; the result is a unimodular diagonal
     exactly when U1 and U2 are diagonal-phase equivalent over V. A non-finite
     argument raises ValueError before any arithmetic."""
-    u1 = _finite_square(u1, "u1")
-    u2 = _finite_square(u2, "u2")
-    v = _finite_square(v, "v")
+    u1 = _check_finite(square(u1), "u1")
+    u2 = _check_finite(square(u2), "u2")
+    v = _check_finite(square(v), "v")
     if not (u1.shape == u2.shape == v.shape):
         raise ValueError("all three matrices must share one shape")
     delta = v.conj().T @ u2.conj().T @ u1 @ v
@@ -80,8 +72,8 @@ def normalized_diff(u, uprime, pivot: str = "entry11") -> float:
     one of the two matrices. A non-finite argument raises ValueError before
     any arithmetic.
     """
-    u = _finite_square(u, "u")
-    up = _finite_square(uprime, "uprime")
+    u = _check_finite(square(u), "u")
+    up = _check_finite(square(uprime), "uprime")
     if u.shape != up.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {up.shape}")
     if pivot not in ("entry11", "max-modulus-entry"):

@@ -92,11 +92,17 @@ def _is_frozen(a) -> bool:
     return type(a) is bytes
 
 
+def _check_finite(a: np.ndarray, label: str) -> np.ndarray:
+    """Return a, raising ValueError when it has a NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{label} has non-finite entries")
+    return a
+
+
 def _check_hermitian(a: np.ndarray, label: str) -> None:
     """Raise ValueError unless a is finite and ||a - a*||_F <= 1e-10 ||a||_F,
     compared on a scaled to unit entry scale so that neither norm over- or underflows."""
-    if not np.isfinite(a).all():
-        raise ValueError(f"{label} has non-finite entries")
+    _check_finite(a, label)
     scale = _entry_scale(a)
     if scale > 0:
         # part by part: numpy's complex division overflows for a subnormal scale

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkit import (
+    _check_finite,
     _check_hermitian,
     _check_tolerance,
     _entry_scale,
@@ -58,17 +59,25 @@ _SINGULAR_RTOL = 1e-14
 _STATE_SCALE_LIMIT = 1e150
 
 
-def _validated_state(m, label: str) -> np.ndarray:
-    m = square(m)
-    _check_hermitian(m, label)
+def _bounded_state(m, label: str) -> np.ndarray:
+    """square(m), checked finite with n * entry scale within _STATE_SCALE_LIMIT."""
+    m = _check_finite(square(m), label)
     bound = m.shape[0] * _entry_scale(m)
     if bound > _STATE_SCALE_LIMIT:
         raise ValueError(
             f"{label} is too large: n * max entry = {bound:.1e} exceeds {_STATE_SCALE_LIMIT:.0e}"
         )
+    return m
+
+
+def _validated_state(m, label: str) -> np.ndarray:
+    m = square(m)
+    _check_hermitian(m, label)
+    _bounded_state(m, label)
     evals = np.linalg.eigvalsh(herm_part(m))
     if evals[0] < -1e-10 * np.abs(evals).max():
-        raise ValueError(f"{label} is not positive semidefinite within 1e-10")
+        cause = f"its smallest eigenvalue is {evals[0] / np.abs(evals).max():.3g} times its largest"
+        raise ValueError(f"{label} is not positive semidefinite within 1e-10: {cause}")
     return m
 
 
@@ -163,14 +172,16 @@ class SolveResult:
 
 def _checked_pairs(u, pairs):
     """U and its state pairs (a ChannelInstance or (rho, sigma) tuples) as
-    square matrices, every state checked against U's dimension."""
+    square matrices, every state through the overflow guard and of U's dimension."""
     u = square(u)
     if isinstance(pairs, ChannelInstance):
         pairs = pairs.pairs
-    checked = [(square(rho), square(sigma)) for rho, sigma in pairs]
-    for k, (rho, sigma) in enumerate(checked):
+    checked = []
+    for k, (rho, sigma) in enumerate(pairs):
+        rho, sigma = _bounded_state(rho, f"rho[{k}]"), _bounded_state(sigma, f"sigma[{k}]")
         if rho.shape != u.shape or sigma.shape != u.shape:
             raise ValueError(f"dimension mismatch between U {u.shape} and state pair {k}")
+        checked.append((rho, sigma))
     return u, checked
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkit import (
+    _check_finite,
     _child_seeds,
     _entry_scale,
     _freeze,
@@ -156,8 +157,7 @@ class ChannelOracle:
         s = square(state)
         if s.shape != self._u.shape:
             raise ValueError(f"state is {s.shape}, channel dimension is {self.dim}")
-        if not np.isfinite(s).all():
-            raise ValueError("state has non-finite entries")
+        _check_finite(s, "state")
         out = self._u @ s @ self._uh
         if _is_frozen(s):
             out = _freeze(out)
@@ -208,8 +208,7 @@ class ChannelOracle:
             w = np.asarray(vector, dtype=np.complex128)
             if w.shape != (self.dim,):
                 raise ValueError(f"vector is {w.shape}, channel dimension is {self.dim}")
-            if not np.isfinite(w).all():
-                raise ValueError("vector has non-finite entries")
+            _check_finite(w, "vector")
             out = self.apply(state)
             value = float(np.vdot(w, out @ w).real)
         else:
@@ -234,7 +233,7 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     count. The queries go in a fixed order: E+ then E- of each pair, pairs
     row-major. Each is one ``expectation`` call that reads two entries of the
     oracle's stored output, O(1) at any n (see the module docstring). The
-    output is Hermitian by construction.
+    output is Hermitian under any oracle: the diagonal takes E+ alone.
     """
     n = oracle.dim
     expectation = oracle.expectation
@@ -248,8 +247,8 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
     rows, cols = np.triu_indices(n)
     out = np.zeros((n, n), dtype=np.complex128)
     out[rows, cols] = mp - 1j * mm
-    # the diagonal takes this second write
     out[cols, rows] = mp + 1j * mm
+    np.fill_diagonal(out.imag, 0.0)
     return out
 
 
@@ -364,16 +363,7 @@ def reconstruct(
         instance = ChannelInstance([(rho0, sigma0)])
     except ValueError as exc:
         # rho0 passed this rule above, so the tomography output failed it
-        evals = np.linalg.eigvalsh(sigma0)
-        ratio = evals[0] / np.abs(evals).max()
-        cause = (
-            f"its smallest eigenvalue is {ratio:.3g} times its largest"
-            if ratio < -1e-10
-            else str(exc)
-        )
-        raise ReconstructionError(
-            f"tomography output Phi(rho0) fails the state rule: {cause}"
-        ) from exc
+        raise ReconstructionError(f"tomography output Phi(rho0) fails the state rule: {exc}") from exc
     cfg = solver_config if solver_config is not None else SolverConfig(tol=RECONSTRUCT_TOL)
     result = solve(instance, cfg)
     if result.status == STATUS_MAX_ITERS:

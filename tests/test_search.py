@@ -39,6 +39,19 @@ def exact_instance(n, seed, n_pairs=1):
     return hidden, ChannelInstance(pairs)
 
 
+def state_rule_entry_points(pairs):
+    """Every call that takes raw (rho, sigma) pairs: ChannelInstance and the
+    four solver kernels, each at U = I of the first state's dimension."""
+    u = np.eye(np.shape(pairs[0][0])[0])
+    return {
+        "ChannelInstance": lambda: ChannelInstance(pairs),
+        "objective": lambda: objective(u, pairs[0]),
+        "neg_gradient": lambda: neg_gradient(u, pairs[0]),
+        "residual": lambda: residual(u, pairs),
+        "step": lambda: step(u, pairs),
+    }
+
+
 def expanded_objective(u, rho, sigma):
     # independent route: 0.5 (||sigma||^2 + ||rho||^2 - 2 Re<sigma, U rho U*>)
     cross = np.real(np.vdot(sigma, u @ rho @ u.conj().T))
@@ -66,7 +79,11 @@ class TestChannelInstance:
 
     def test_rejects_negative_eigenvalue_naming_the_rule(self):
         bad = np.diag([0.7, 0.3, -0.01])
-        with pytest.raises(ValueError, match=r"rho\[0\] is not positive semidefinite"):
+        with pytest.raises(
+            ValueError,
+            match=r"rho\[0\] is not positive semidefinite within 1e-10: "
+            r"its smallest eigenvalue is -0\.0143 times its largest$",
+        ):
             ChannelInstance([(bad, np.diag([0.7, 0.3, 0.0]))])
 
     @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1.0])
@@ -82,10 +99,11 @@ class TestChannelInstance:
 
     def test_rejects_non_finite_state(self):
         rho = np.eye(2) / 2
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf):
             sigma = np.array([[0.5, bad], [0.0, 0.5]])
-            with pytest.raises(ValueError, match=r"sigma\[0\] has non-finite entries"):
-                ChannelInstance([(rho, sigma)])
+            for call in state_rule_entry_points([(rho, sigma)]).values():
+                with pytest.raises(ValueError, match=r"^sigma\[0\] has non-finite entries$"):
+                    call()
 
     def test_rejects_mixed_dims(self):
         with pytest.raises(ValueError):
@@ -105,11 +123,22 @@ class TestChannelInstance:
             # n * max entry above 1e150 would overflow the objective's squares
             ([(np.diag([1e160, 5e159]), np.diag([5e159, 1e160]))], r"rho\[0\] is too large"),
             ([(np.eye(2), np.diag([1.0, 1e150]))], r"sigma\[0\] is too large"),
+            # unguarded, objective overflows to inf on this pair
+            (
+                [(np.diag([1e160, 1.0]), np.diag([1.0, 1e160]))],
+                r"^rho\[0\] is too large: n \* max entry = 2\.0e\+160 exceeds 1e\+150$",
+            ),
         ],
     )
     def test_rejects_bad_pairs(self, pairs, match):
-        with pytest.raises(ValueError, match=match):
-            ChannelInstance(pairs)
+        calls = state_rule_entry_points(pairs)
+        rho, sigma = pairs[0]
+        if rho.shape != sigma.shape:
+            # the kernels hold each state to U's dimension and name that instead
+            calls = {"ChannelInstance": calls["ChannelInstance"]}
+        for call in calls.values():
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_pairs_cannot_change_after_the_check(self):
         rho = np.diag([0.7, 0.3]).astype(complex)

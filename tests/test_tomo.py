@@ -97,6 +97,20 @@ class EvaluationCountingOracle(ChannelOracle):
         return super().apply(state)
 
 
+class NoisyOracle(ChannelOracle):
+    """A ChannelOracle that adds seeded Gaussian noise of standard deviation
+    eps to every expectation, whatever the observable's form."""
+
+    def __init__(self, hidden_u, eps, seed):
+        super().__init__(hidden_u)
+        self._eps = eps
+        self._rng = np.random.default_rng(seed)
+
+    def expectation(self, state, observable=None, *, entries=None, vector=None):
+        value = super().expectation(state, observable, entries=entries, vector=vector)
+        return value + self._eps * self._rng.standard_normal()
+
+
 def two_probe_phase_product(oracle, u0, v, p, q):
     """Reference route for extract_phase_product: a second probe with the
     antisymmetric cross term (v_p v_q* - v_q v_p*)/2i, read through the same
@@ -398,35 +412,58 @@ class TestRankOneObservable:
         assert stored.tobytes() == (u @ kept @ u.conj().T).tobytes()
 
 
-def _nan_at_01(m):
+def _at_01(m, value):
     m = np.array(m, dtype=np.complex128)
-    m[0, 1] = np.nan
+    m[0, 1] = value
     return m
 
 
+_BAD_STATE = r"^state has non-finite entries$"
+_BAD_VECTOR = r"^vector has non-finite entries$"
+_NAN_VALUE = r"^expectation value is nan, not finite$"
+
+
 @pytest.mark.parametrize(
-    "kwargs",
+    "call, match",
     [
-        {"state": _nan_at_01(random_density(3, 52)), "observable": np.eye(3)},
-        {"state": _nan_at_01(random_density(3, 52)), "entries": ((0,), (1,), (1.0,))},
-        {"state": random_density(3, 53), "observable": _nan_at_01(np.eye(3))},
-        {"state": random_density(3, 53), "entries": ((0, 1), (1, 0), (0.5, np.nan))},
-        {"state": _nan_at_01(random_density(3, 52)), "vector": np.ones(3)},
-        {"state": random_density(3, 53), "vector": np.array([1.0, np.nan, 0.0])},
+        (lambda o: o.expectation(_at_01(random_density(3, 52), np.nan), np.eye(3)), _BAD_STATE),
+        (
+            lambda o: o.expectation(
+                _at_01(random_density(3, 52), np.nan), entries=((0,), (1,), (1.0,))
+            ),
+            _BAD_STATE,
+        ),
+        (lambda o: o.expectation(random_density(3, 53), _at_01(np.eye(3), np.nan)), _NAN_VALUE),
+        (lambda o: o.expectation(random_density(3, 53), entries=((0, 1), (1, 0), (0.5, np.nan))),
+         _NAN_VALUE),
+        (lambda o: o.expectation(_at_01(random_density(3, 52), np.nan), vector=np.ones(3)),
+         _BAD_STATE),
+        (lambda o: o.expectation(random_density(3, 53), vector=np.array([1.0, np.nan, 0.0])),
+         _BAD_VECTOR),
+        (lambda o: o.expectation(random_density(3, 53), vector=np.array([1.0, 0.0, np.inf])),
+         _BAD_VECTOR),
+        (lambda o: o.expectation(random_density(3, 53), vector=np.array([-np.inf, 0.0, 0.0])),
+         _BAD_VECTOR),
+        (lambda o: o.apply(_at_01(random_density(3, 52), np.nan)), _BAD_STATE),
+        (lambda o: o.apply(_at_01(random_density(3, 52), np.inf)), _BAD_STATE),
+        (lambda o: o.apply(_at_01(random_density(3, 52), -np.inf)), _BAD_STATE),
     ],
     ids=["nan-state", "nan-state-entries", "nan-observable", "nan-weight", "nan-state-vector",
-         "nan-vector"],
+         "nan-vector", "inf-vector", "-inf-vector", "nan-state-apply", "inf-state-apply",
+         "-inf-state-apply"],
 )
-def test_non_finite_query_rejected_before_counting(kwargs):
+def test_non_finite_query_rejected_before_counting(call, match):
     u = random_unitary(3, 54)
     oracle = ChannelOracle(u)
-    good = random_density(3, 55)
+    good = _freeze(random_density(3, 55))
     obs = random_density(3, 56)
     oracle.expectation(good, obs)
-    with pytest.raises(ValueError, match="not finite|non-finite"):
-        oracle.expectation(**kwargs)
+    stored = oracle.apply(good)
+    with pytest.raises(ValueError, match=match):
+        call(oracle)
     assert oracle.queries == 1
     # the rejected state never replaces the stored evaluation
+    assert oracle.apply(good) is stored
     expected = np.trace(u @ good @ u.conj().T @ obs).real
     assert oracle.expectation(good, obs) == pytest.approx(expected, abs=1e-14)
     assert oracle.queries == 2
@@ -473,6 +510,17 @@ class TestStateTomography:
         assert oracle.queries - before == n * n + n
         assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12
         assert frob_norm(out - out.conj().T) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_noisy_readings_give_a_hermitian_state(self, n):
+        # the diagonal E- readings are pure noise here: sigma must not take them
+        rho = random_density(n, 73 + n)
+        oracle = NoisyOracle(random_unitary(n, 74 + n), eps=1e-9, seed=75 + n)
+        sigma = state_tomography(oracle, rho)
+        assert np.array_equal(sigma, sigma.conj().T)
+        assert not sigma.diagonal().imag.any()
+        assert oracle.queries == n * n + n
+        assert ChannelInstance([(rho, sigma)]).n == n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 32, 64])
     def test_matches_dense_reference(self, n):
@@ -784,9 +832,10 @@ class TestReconstruct:
             (
                 lambda entries, value: value - 1e-6 if entries == ((3, 3), (3, 3), (0.5, 0.5)) else value,
                 np.diag([0.5, 0.3, 0.2, 0.0]),
+                r"sigma\[0\] is not positive semidefinite within 1e-10: "
                 r"its smallest eigenvalue is -2e-06 times its largest$",
             ),
-            # every reading 1e150 times too large: the rule's own message, no ratio
+            # every reading 1e150 times too large
             (
                 lambda entries, value: 1e150 * value,
                 np.diag([0.4, 0.3, 0.2, 0.1]),
