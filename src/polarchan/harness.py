@@ -25,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .equiv import normalized_diff
-from .matkit import _child_seeds, _relative_eigengap, random_density, random_unitary, square
+from .matkit import (
+    _check_finite, _child_seeds, _relative_eigengap, random_density, random_unitary, square,
+)
 from .search import STATUS_MAX_ITERS, ChannelInstance, IterationTrace, SolverConfig, solve
 from .tomo import RECONSTRUCT_TOL, ChannelOracle, ReconstructionError, reconstruct
 
@@ -93,9 +95,8 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise ValueError(f"matrix re/im fields must be rectangular numeric arrays: {exc}")
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix arrays must be {n}x{n}, got {re.shape} and {im.shape}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix entries must be finite")
-    return re + 1j * im
+    # both parts before they combine: 1j * inf forms 0 * inf, a NaN with a RuntimeWarning
+    return _check_finite(re, "matrix re") + 1j * _check_finite(im, "matrix im")
 
 
 def write_matrix_file(path, m) -> None:

@@ -99,9 +99,10 @@ def _check_finite(a: np.ndarray, label: str) -> np.ndarray:
     return a
 
 
-def _check_hermitian(a: np.ndarray, label: str) -> None:
-    """Raise ValueError unless a is finite and ||a - a*||_F <= 1e-10 ||a||_F,
-    compared on a scaled to unit entry scale so that neither norm over- or underflows."""
+def _check_hermitian(a: np.ndarray, label: str) -> float:
+    """Return a's entry scale, raising ValueError unless a is finite and
+    ||a - a*||_F <= 1e-10 ||a||_F, compared on a scaled to unit entry scale so
+    that neither norm over- or underflows."""
     _check_finite(a, label)
     scale = _entry_scale(a)
     if scale > 0:
@@ -109,6 +110,7 @@ def _check_hermitian(a: np.ndarray, label: str) -> None:
         a = a.real / scale + 1j * (a.imag / scale)
     if frob_norm(a - a.conj().T) > 1e-10 * frob_norm(a):
         raise ValueError(f"{label} is not Hermitian within 1e-10")
+    return scale
 
 
 def _check_tolerance(value, name: str, positive: bool = False) -> None:

@@ -22,10 +22,10 @@ from .matkit import (
     _check_hermitian,
     _check_tolerance,
     _entry_scale,
+    _freeze,
     frob_norm,
     herm_part,
     poldec,
-    random_unitary,
     skew_part,
     square,
 )
@@ -59,10 +59,9 @@ _SINGULAR_RTOL = 1e-14
 _STATE_SCALE_LIMIT = 1e150
 
 
-def _bounded_state(m, label: str) -> np.ndarray:
-    """square(m), checked finite with n * entry scale within _STATE_SCALE_LIMIT."""
-    m = _check_finite(square(m), label)
-    bound = m.shape[0] * _entry_scale(m)
+def _check_scale(m: np.ndarray, scale: float, label: str) -> np.ndarray:
+    """Return m, raising ValueError when n times its entry scale exceeds _STATE_SCALE_LIMIT."""
+    bound = m.shape[0] * scale
     if bound > _STATE_SCALE_LIMIT:
         raise ValueError(
             f"{label} is too large: n * max entry = {bound:.1e} exceeds {_STATE_SCALE_LIMIT:.0e}"
@@ -70,20 +69,19 @@ def _bounded_state(m, label: str) -> np.ndarray:
     return m
 
 
+def _bounded_state(m, label: str) -> np.ndarray:
+    """square(m), checked finite with n * entry scale within _STATE_SCALE_LIMIT."""
+    m = _check_finite(square(m), label)
+    return _check_scale(m, _entry_scale(m), label)
+
+
 def _validated_state(m, label: str) -> np.ndarray:
     m = square(m)
-    _check_hermitian(m, label)
-    _bounded_state(m, label)
+    _check_scale(m, _check_hermitian(m, label), label)
     evals = np.linalg.eigvalsh(herm_part(m))
     if evals[0] < -1e-10 * np.abs(evals).max():
         cause = f"its smallest eigenvalue is {evals[0] / np.abs(evals).max():.3g} times its largest"
         raise ValueError(f"{label} is not positive semidefinite within 1e-10: {cause}")
-    return m
-
-
-def _read_only_copy(m: np.ndarray) -> np.ndarray:
-    m = np.array(m)
-    m.flags.writeable = False
     return m
 
 
@@ -92,7 +90,7 @@ class ChannelInstance:
     """One or more (input, output) Hermitian positive semidefinite state pairs.
 
     The pairs are checked once and cannot change afterwards: ``pairs`` is a
-    tuple of read-only private copies, never the caller's arrays.
+    tuple of frozen private copies (``matkit._freeze``), never the caller's arrays.
     """
 
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -111,7 +109,7 @@ class ChannelInstance:
                 n = rho.shape[0]
             elif rho.shape[0] != n:
                 raise ValueError(f"pair {k} has dimension {rho.shape[0]}, expected {n}")
-            checked.append((_read_only_copy(rho), _read_only_copy(sigma)))
+            checked.append((_freeze(rho), _freeze(sigma)))
         object.__setattr__(self, "pairs", tuple(checked))
 
     @property
@@ -121,28 +119,20 @@ class ChannelInstance:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination and initialization knobs for the fixed-point solver."""
+    """Termination knobs for the fixed-point solver, which starts at the identity."""
 
     max_iters: int = 5000
     # objective threshold at unit trace; solve rescales the objective by the pairs' trace
     tol: float = 1e-24
     stall_tol: float = 1e-13
-    init: str = "identity"
-    init_seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "init_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.init_seed < 0:
-            raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
         _check_tolerance(self.tol, "tol", positive=True)
         _check_tolerance(self.stall_tol, "stall_tol")
-        if self.init not in ("identity", "random"):
-            raise ValueError(f"init must be 'identity' or 'random', got {self.init!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +226,9 @@ def step(u, pairs) -> np.ndarray:
 
 
 def solve(instance, config: SolverConfig | None = None) -> SolveResult:
-    """Iterate the polar fixed-point update until the objective drops below
-    tol * 4^k, the update norm stalls below stall_tol, or max_iters is exhausted.
+    """Iterate the polar fixed-point update from the identity until the
+    objective drops below tol * 4^k, the update norm stalls below stall_tol,
+    or max_iters is exhausted.
 
     2^k is the power of two nearest (on a log scale) the mean trace of the
     pairs' states, k = 0 when that mean is 0. The objective is homogeneous of
@@ -250,16 +241,11 @@ def solve(instance, config: SolverConfig | None = None) -> SolveResult:
         instance = ChannelInstance(list(instance))
     cfg = config if config is not None else SolverConfig()
     pairs = instance.pairs
-    n = instance.n
     traces = [np.trace(m).real for pair in pairs for m in pair]
     mean_trace = sum(traces) / len(traces)
     k = round(math.log2(mean_trace)) if mean_trace > 0 else 0
 
-    if cfg.init == "identity":
-        u = np.eye(n, dtype=np.complex128)
-    else:
-        u = random_unitary(n, cfg.init_seed)
-
+    u = np.eye(instance.n, dtype=np.complex128)
     m, obj = _grad_objective(u, pairs)
     objs = [obj]
     steps = [0.0]

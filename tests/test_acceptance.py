@@ -190,10 +190,15 @@ def test_criterion_07_equivalence_class():
     _, inst = exact_instance(8, 31337)
     rho0 = inst.pairs[0][0]
     v = hermitian_eig(rho0).eigenvectors
-    r1 = solve(inst, SolverConfig(tol=1e-28, max_iters=50000))
-    r2 = solve(inst, SolverConfig(tol=1e-28, max_iters=50000, init="random", init_seed=9))
-    solver_ok = is_equiv_under(r1.u_hat, r2.u_hat, v, 1e-6)
-    rel = relation_matrix(r1.u_hat, r2.u_hat, v)
+    cfg = SolverConfig(tol=1e-28, max_iters=50000)
+    r1 = solve(inst, cfg)
+    # the second run starts at q: q* polar(sigma q W rho) = polar(q* sigma q W rho), so
+    # solving (rho, q* sigma q) from the identity and mapping back as q W is that run
+    q = random_unitary(8, 9)
+    rotated = ChannelInstance([(rho, q.conj().T @ sigma @ q) for rho, sigma in inst.pairs])
+    u2 = q @ solve(rotated, cfg).u_hat
+    solver_ok = is_equiv_under(r1.u_hat, u2, v, 1e-6)
+    rel = relation_matrix(r1.u_hat, u2, v)
 
     rng = np.random.default_rng(31338)
     constructed_ok = True

@@ -63,8 +63,11 @@ class TestMatrixFiles:
             matrix_from_obj({"n": n, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        # the shared non-finite message; an infinite im is caught before 1j * inf forms a NaN
+        with pytest.raises(ValueError, match="^matrix re has non-finite entries$"):
             matrix_from_obj({"n": 1, "re": [[float("nan")]], "im": [[0.0]]})
+        with pytest.raises(ValueError, match="^matrix im has non-finite entries$"):
+            matrix_from_obj({"n": 1, "re": [[0.5]], "im": [[float("inf")]]})
 
     def test_obj_round_trip(self):
         m = random_density(3, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polarchan import search
+from polarchan import matkit, search
 from polarchan.equiv import is_equiv_under
 from polarchan.matkit import (
     frob_norm,
@@ -147,12 +147,15 @@ class TestChannelInstance:
             inst.pairs = [(np.diag([1.0, -0.5]), rho)]
         with pytest.raises(AttributeError):
             inst.pairs.append((rho, rho))
-        # the instance holds read-only copies, not the caller's arrays
+        # the instance holds frozen copies, not the caller's arrays
         rho[0, 0] = 1e200
         stored = inst.pairs[0][0]
         assert stored[0, 0] == 0.7 and not np.shares_memory(stored, rho)
         with pytest.raises(ValueError):
             stored[0, 0] = 1e200
+        with pytest.raises(ValueError):
+            stored.flags.writeable = True
+        assert matkit._is_frozen(stored)
         assert isinstance(inst.pairs, tuple) and len(inst.pairs) == 1
 
     def test_largest_accepted_scale_solves_without_overflow(self):
@@ -380,13 +383,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="slack must be a finite nonnegative number"):
             trace.monotone_violations(slack)
 
-    def test_random_init_is_seeded(self):
-        _, inst = exact_instance(4, 33)
-        cfg = SolverConfig(max_iters=50, init="random", init_seed=5)
-        a = solve(inst, cfg)
-        b = solve(inst, cfg)
-        assert np.array_equal(a.u_hat, b.u_hat)
-
 
 class TestSolverConfig:
     def test_rejects_bad_values(self):
@@ -401,8 +397,6 @@ class TestSolverConfig:
                 SolverConfig(tol=float(bad))
             with pytest.raises(ValueError):
                 SolverConfig(stall_tol=float(bad))
-        with pytest.raises(ValueError):
-            SolverConfig(init="cayley")
         for name in ("tol", "stall_tol"):
             for bad in (True, False, "1e-3", None, 1j):
                 with pytest.raises(ValueError, match=f"{name} must be a finite"):
@@ -415,16 +409,11 @@ class TestSolverConfig:
         assert cfg == SolverConfig(max_iters=5000, tol=1e-24, stall_tol=1e-13)
 
     def test_rejects_non_integer_counts(self):
-        for name in ("max_iters", "init_seed"):
-            for bad in (10.0, np.float64(3.0), True, False, "10"):
-                with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                    SolverConfig(**{name: bad})
-        cfg = SolverConfig(max_iters=np.int64(3), init_seed=np.int64(2))
+        for bad in (10.0, np.float64(3.0), True, False, "10"):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                SolverConfig(max_iters=bad)
+        cfg = SolverConfig(max_iters=np.int64(3))
         assert len(solve(exact_instance(3, 1)[1], cfg).trace) <= 4
-
-    def test_rejects_negative_init_seed(self):
-        with pytest.raises(ValueError, match="init_seed must be nonnegative, got -1"):
-            SolverConfig(init="random", init_seed=-1)
 
 
 class TestGradObjective:
