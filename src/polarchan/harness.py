@@ -130,6 +130,8 @@ def read_instance_file(path) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def generate_exact_instance(n: int, n_pairs: int, seed: int):
     """Hidden random unitary plus consistent (rho, U rho U*) pairs, all from one seed."""
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     seeds = _child_seeds(seed, n_pairs + 1)
     hidden = random_unitary(n, seeds[0])
     pairs = []

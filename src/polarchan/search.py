@@ -146,10 +146,9 @@ class IterationTrace:
     def __len__(self) -> int:
         return int(self.objective.size)
 
-    def monotone_violations(self, slack: float = 1e-12) -> int:
-        """Number of consecutive objective pairs that increase by more than slack."""
-        _check_tolerance(slack, "slack")
-        return int(np.count_nonzero(np.diff(self.objective) > slack))
+    def monotone_violations(self) -> int:
+        """Number of consecutive objective pairs that increase by more than 1e-12."""
+        return int(np.count_nonzero(np.diff(self.objective) > 1e-12))
 
 
 @dataclass(frozen=True, eq=False)

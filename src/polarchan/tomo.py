@@ -4,15 +4,15 @@ The oracle hides a unitary U and answers expectation queries
 Re tr(Phi(state) observable) against the channel Phi(rho) = U rho U*,
 counting every query. ``ChannelOracle.expectation`` is the only measurement
 primitive: state tomography and phase extraction both call it directly.
-An observable goes in as a dense matrix, as its nonzero entries
-(rows, cols, weights), or as a vector w standing for the rank-1 projector
-w w*. Tomography sends each of its E+/E- observables as its two entries, so
-a query reads two entries of the channel output. Phase extraction makes two
-rank-1 reads, Re w* Phi(s) w, of one channel evaluation per phase: its probe
-s is the traceless (v_p v_q* + v_q v_p*)/2, and no n x n projector is
-built. A full reconstruction spends n^2+n queries on state tomography of one
-output state plus 2(n-1) queries on diagonal-phase extraction, staying under
-the n^2+3n ceiling.
+An observable goes in as its nonzero entries (rows, cols, weights) or as a
+vector w standing for the rank-1 projector w w*. Tomography sends each of
+its E+/E- observables as its two entries, so a query reads two entries of
+the channel output. Phase extraction makes two rank-1 reads, Re w* Phi(s) w,
+of one channel evaluation per phase: its probe s is the traceless
+(v_p v_q* + v_q v_p*)/2, and no n x n projector is built. A full
+reconstruction spends n^2+n queries on state tomography of one output state
+plus 2(n-1) queries on diagonal-phase extraction, staying under the n^2+3n
+ceiling.
 
 The oracle keeps its latest evaluation of a frozen state (``matkit._freeze``:
 read-only down its whole ``.base`` chain, which ends in a ``bytes`` object,
@@ -71,7 +71,7 @@ RECONSTRUCT_TOL = 1e-28
 # Seed of the five random test states reconstruct checks its result on.
 CHECK_SEED = 0
 # expectation's message when it is given other than one observable form.
-_ONE_FORM = "give exactly one of observable, entries and vector"
+_ONE_FORM = "give exactly one of entries and vector"
 
 
 class DegenerateStateError(ValueError):
@@ -112,8 +112,9 @@ class ChannelOracle:
     """rho -> U rho U* for a hidden unitary U, with a monotone measurement counter.
 
     ``apply`` evaluates the channel directly (used for verification, never
-    counted); ``expectation`` is the only measurement primitive and increments
-    the counter by exactly one per successful call. The oracle is for use from
+    counted); ``expectation`` is the only measurement primitive, takes its
+    observable as ``entries`` or as a rank-1 ``vector``, and increments the
+    counter by exactly one per successful call. The oracle is for use from
     one thread.
 
     ``apply`` keeps its latest evaluation of a frozen input (see the module
@@ -164,12 +165,11 @@ class ChannelOracle:
             self._last = (s, out)
         return out
 
-    def expectation(self, state, observable=None, *, entries=None, vector=None) -> float:
+    def expectation(self, state, *, entries=None, vector=None) -> float:
         """One measurement: Re tr(Phi(state) observable).
 
-        The observable comes in exactly one of three forms:
+        The observable comes in exactly one of two forms, each by keyword:
 
-        - ``observable``, a dense n x n matrix;
         - ``entries=(rows, cols, weights)``, its nonzero entries, with
           observable[rows[k], cols[k]] = weights[k] (repeated positions add).
           Only those entries of Phi(state) are read. Entry indices are
@@ -187,8 +187,8 @@ class ChannelOracle:
         channel is evaluated.
         """
         if entries is not None:
-            # tomography's path: the form check costs it two identity tests
-            if observable is not None or vector is not None:
+            # tomography's path: the form check costs it one identity test
+            if vector is not None:
                 raise ValueError(_ONE_FORM)
             rows, cols, weights = entries
             if not len(rows) == len(cols) == len(weights):
@@ -202,22 +202,15 @@ class ChannelOracle:
                 if type(w) is not complex:
                     w = _weight(w)
                 value += (out.item(c, r) * w).real
-        elif (observable is None) == (vector is None):
+        elif vector is None:
             raise ValueError(_ONE_FORM)
-        elif vector is not None:
+        else:
             w = np.asarray(vector, dtype=np.complex128)
             if w.shape != (self.dim,):
                 raise ValueError(f"vector is {w.shape}, channel dimension is {self.dim}")
             _check_finite(w, "vector")
             out = self.apply(state)
             value = float(np.vdot(w, out @ w).real)
-        else:
-            out = self.apply(state)
-            obs = square(observable)
-            if obs.shape != out.shape:
-                raise ValueError(f"observable is {obs.shape}, channel dimension is {self.dim}")
-            # sum_ij out_ij obs_ji, without forming the product
-            value = float(np.vdot(obs.T.conj(), out).real)
         if not math.isfinite(value):
             raise ValueError(f"expectation value is {value}, not finite")
         self._queries += 1

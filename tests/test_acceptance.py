@@ -86,7 +86,7 @@ def reconstruction_batch():
 
 
 def test_criterion_01_monotone_decrease(monotone_sweep):
-    violations = sum(r.trace.monotone_violations(1e-12) for _, r in monotone_sweep)
+    violations = sum(r.trace.monotone_violations() for _, r in monotone_sweep)
     report(
         1,
         "objective non-increasing over 100 single-pair instances, n in {2,4,8,16}",

@@ -112,6 +112,11 @@ class TestCmdSolve:
         header = (out / "trace.csv").read_text().splitlines()[0]
         assert header == "iter,objective,step_norm,residual"
 
+    @pytest.mark.parametrize("n_pairs", [0, -1, -2])
+    def test_generator_rejects_pair_count_below_one(self, n_pairs):
+        with pytest.raises(ValueError, match=f"^n_pairs must be at least 1, got {n_pairs}$"):
+            generate_exact_instance(3, n_pairs, 0)
+
     def test_trace_csv_matches_solve_result(self, tmp_path):
         out = tmp_path / "run"
         assert main(["solve", "--n", "5", "--pairs", "2", "--seed", "13", "--out", str(out)]) == 0
@@ -302,6 +307,8 @@ class TestExitCodeTable:
             (["solve", "--in", str(ok_inst), "--pairs", "1"], 1),
             (["solve", "--n", "0"], 1),
             (["solve", "--pairs", "0"], 1),
+            (["solve", "--n", "3", "--pairs", "-1"], 1),
+            (["solve", "--n", "3", "--pairs", "-2"], 1),
             (["reconstruct", "--in", str(id_mat), "--seed", "1"], 0),
             (["reconstruct", "--in", str(bad_inst)], 1),
             (["reconstruct", "--circuit", "example2", "--out", below_file], 1),

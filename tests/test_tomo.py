@@ -54,6 +54,19 @@ def projector(w):
     return np.outer(w, np.conj(w))
 
 
+def dense_reading(oracle, state, observable):
+    """Re tr(Phi(state) observable) for a dense observable, from the uncounted
+    ``apply`` and in the oracle's own reduction: sum_ij out_ij obs_ji."""
+    obs = np.asarray(observable, dtype=np.complex128)
+    return float(np.vdot(obs.T.conj(), oracle.apply(state)).real)
+
+
+def all_entries(observable):
+    """Every entry of a dense observable in ``entries=`` form, row-major."""
+    rows, cols = np.indices(observable.shape)
+    return tuple(rows.ravel()), tuple(cols.ravel()), tuple(np.ravel(observable))
+
+
 def _rand_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
@@ -67,16 +80,14 @@ class RecordingOracle(ChannelOracle):
         self.states = []
         self.observables = []
 
-    def expectation(self, state, observable=None, *, entries=None, vector=None):
+    def expectation(self, state, *, entries=None, vector=None):
         self.states.append(np.array(state, dtype=np.complex128))
         if vector is not None:
             dense = projector(np.asarray(vector, dtype=np.complex128))
-        elif entries is not None:
-            dense = densify(self.dim, entries)
         else:
-            dense = np.array(observable)
+            dense = densify(self.dim, entries)
         self.observables.append(dense)
-        return super().expectation(state, observable, entries=entries, vector=vector)
+        return super().expectation(state, entries=entries, vector=vector)
 
 
 class EvaluationCountingOracle(ChannelOracle):
@@ -106,8 +117,8 @@ class NoisyOracle(ChannelOracle):
         self._eps = eps
         self._rng = np.random.default_rng(seed)
 
-    def expectation(self, state, observable=None, *, entries=None, vector=None):
-        value = super().expectation(state, observable, entries=entries, vector=vector)
+    def expectation(self, state, *, entries=None, vector=None):
+        value = super().expectation(state, entries=entries, vector=vector)
         return value + self._eps * self._rng.standard_normal()
 
 
@@ -129,8 +140,8 @@ def dense_phase_product(oracle, u0, v, p, q):
     probe = probe_state(v, p, q)
     w = u0 @ (v[:, p] + v[:, q]) / np.sqrt(2.0)
     w_i = u0 @ (v[:, p] + 1j * v[:, q]) / np.sqrt(2.0)
-    m_re = oracle.expectation(probe, projector(w))
-    m_im = oracle.expectation(probe, projector(w_i))
+    m_re = dense_reading(oracle, probe, projector(w))
+    m_im = dense_reading(oracle, probe, projector(w_i))
     return complex(2.0 * (m_re - 1j * m_im))
 
 
@@ -173,14 +184,29 @@ class TestChannelOracle:
     def test_counter_increments_per_expectation(self):
         oracle = ChannelOracle(np.eye(3))
         rho = random_density(3, 5)
-        obs = herm_part(random_density(3, 6))
+        entries = all_entries(herm_part(random_density(3, 6)))
         counts = []
-        for _ in range(4):
+        for k in range(4):
             oracle.apply(rho)  # never counted, even when its output is reused
             counts.append(oracle.queries)
-            oracle.expectation(rho, obs)
+            if k % 2:
+                oracle.expectation(rho, vector=np.ones(3))
+            else:
+                oracle.expectation(rho, entries=entries)
             counts.append(oracle.queries)
         assert counts == [0, 1, 1, 2, 2, 3, 3, 4]
+
+    def test_dense_observable_is_refused_before_counting(self):
+        oracle = ChannelOracle(random_unitary(3, 4))
+        rho = random_density(3, 5)
+        obs = herm_part(random_density(3, 6))
+        with pytest.raises(TypeError):
+            oracle.expectation(rho, obs)
+        with pytest.raises(TypeError):
+            oracle.expectation(rho, observable=obs)
+        with pytest.raises(ValueError, match="^give exactly one of entries and vector$"):
+            oracle.expectation(rho)
+        assert oracle.queries == 0
 
     def test_expectation_matches_outside_computation(self):
         u = random_unitary(4, 7)
@@ -188,7 +214,10 @@ class TestChannelOracle:
         rho = random_density(4, 8)
         obs = herm_part(random_density(4, 9))
         direct = np.real(np.trace(u @ rho @ u.conj().T @ obs))
-        assert_allclose(oracle.expectation(rho, obs), direct, atol=1e-14)
+        assert_allclose(oracle.expectation(rho, entries=all_entries(obs)), direct, atol=1e-14)
+        w = np.array([1.0, -0.5j, 0.25, 2.0 + 1j])
+        direct = np.real(np.trace(u @ rho @ u.conj().T @ projector(w)))
+        assert_allclose(oracle.expectation(rho, vector=w), direct, atol=1e-14)
 
     def test_expectation_on_non_hermitian_inputs(self):
         rng = np.random.default_rng(10)
@@ -197,8 +226,10 @@ class TestChannelOracle:
         s = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         obs = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         direct = np.real(np.trace(u @ s @ u.conj().T @ obs))
-        assert abs(oracle.expectation(s, obs) - direct) < 1e-14
-        assert abs(oracle.expectation(s, obs) - direct) < 1e-14  # reused output
+        assert abs(oracle.expectation(s, entries=all_entries(obs)) - direct) < 1e-14
+        frozen = _freeze(s)
+        for _ in range(2):  # a fresh evaluation, then the stored one
+            assert abs(oracle.expectation(frozen, entries=all_entries(obs)) - direct) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 5, 32])
     def test_entries_match_dense_bitwise(self, n):
@@ -210,10 +241,10 @@ class TestChannelOracle:
                 e_plus, e_minus = dense_e_pm(n, i, j)
                 via_entries.append(oracle.expectation(rho, entries=((i, j), (j, i), (0.5, 0.5))))
                 via_entries.append(oracle.expectation(rho, entries=((i, j), (j, i), (-0.5j, 0.5j))))
-                via_dense.append(oracle.expectation(rho, e_plus))
-                via_dense.append(oracle.expectation(rho, e_minus))
+                via_dense.append(dense_reading(oracle, rho, e_plus))
+                via_dense.append(dense_reading(oracle, rho, e_minus))
         assert np.array(via_entries).tobytes() == np.array(via_dense).tobytes()
-        assert oracle.queries == 4 * n * n
+        assert oracle.queries == 2 * n * n
 
     def test_entries_repeated_positions_add(self):
         u = random_unitary(3, 32)
@@ -233,7 +264,7 @@ class TestChannelOracle:
             {"entries": ((3, 0), (0, 0), (0.5, 0.5))},
             {"entries": ((0, 1), (1,), (0.5, 0.5))},
             {"entries": ((0, 1), (1, 0), (0.5,))},
-            {"observable": np.eye(3), "entries": ((0,), (0,), (1.0,))},
+            {"entries": ((0,), (0,), (1.0,)), "vector": np.ones(3)},
             {},
             {"entries": ((True, 0), (2, 1), (0.5, 0.5))},  # numpy would read True as a mask
             {"entries": ((2, 1), (False, 0), (0.5, 0.5))},
@@ -364,10 +395,8 @@ class TestRankOneObservable:
                 w = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
                 before = oracle.queries
                 rank_one = oracle.expectation(s, vector=w)
-                after_rank_one = oracle.queries
-                dense = oracle.expectation(s, projector(w))
-                assert type(rank_one) is float
-                assert after_rank_one - before == oracle.queries - after_rank_one == 1
+                dense = dense_reading(oracle, s, projector(w))
+                assert type(rank_one) is float and oracle.queries - before == 1
                 bound = 1e-14 * np.vdot(w, w).real * frob_norm(s)
                 assert abs(rank_one - dense) <= bound, (rank_one, dense, bound)
 
@@ -389,9 +418,11 @@ class TestRankOneObservable:
             {"vector": np.array([1.0, np.nan, 0.0])},
             {"vector": np.array([1.0, 0.0, np.inf])},
             {"vector": np.array([-np.inf * 1j, 0.0, 0.0])},
-            {"vector": np.ones(3), "observable": np.eye(3)},
+            # an observable with no entries is still given
+            {"vector": np.ones(3), "entries": ((), (), ())},
             {"vector": np.ones(3), "entries": ((0,), (0,), (1.0,))},
-            {"vector": np.ones(3), "observable": np.eye(3), "entries": ((0,), (0,), (1.0,))},
+            # so is the zero vector: both forms, each of them valid alone
+            {"vector": np.zeros(3), "entries": ((0, 1), (1, 0), (0.5, 0.5))},
             {},
         ],
         ids=["short", "long", "column", "matrix", "scalar", "nan", "inf", "-inf-imag",
@@ -426,14 +457,19 @@ _NAN_VALUE = r"^expectation value is nan, not finite$"
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda o: o.expectation(_at_01(random_density(3, 52), np.nan), np.eye(3)), _BAD_STATE),
+        # the whole state is checked, not only the entries read
+        (
+            lambda o: o.expectation(
+                _at_01(random_density(3, 52), complex(0.0, np.nan)), entries=((0,), (0,), (1.0,))
+            ),
+            _BAD_STATE,
+        ),
         (
             lambda o: o.expectation(
                 _at_01(random_density(3, 52), np.nan), entries=((0,), (1,), (1.0,))
             ),
             _BAD_STATE,
         ),
-        (lambda o: o.expectation(random_density(3, 53), _at_01(np.eye(3), np.nan)), _NAN_VALUE),
         (lambda o: o.expectation(random_density(3, 53), entries=((0, 1), (1, 0), (0.5, np.nan))),
          _NAN_VALUE),
         (lambda o: o.expectation(_at_01(random_density(3, 52), np.nan), vector=np.ones(3)),
@@ -448,7 +484,7 @@ _NAN_VALUE = r"^expectation value is nan, not finite$"
         (lambda o: o.apply(_at_01(random_density(3, 52), np.inf)), _BAD_STATE),
         (lambda o: o.apply(_at_01(random_density(3, 52), -np.inf)), _BAD_STATE),
     ],
-    ids=["nan-state", "nan-state-entries", "nan-observable", "nan-weight", "nan-state-vector",
+    ids=["nan-state", "nan-state-entries", "nan-weight", "nan-state-vector",
          "nan-vector", "inf-vector", "-inf-vector", "nan-state-apply", "inf-state-apply",
          "-inf-state-apply"],
 )
@@ -456,16 +492,16 @@ def test_non_finite_query_rejected_before_counting(call, match):
     u = random_unitary(3, 54)
     oracle = ChannelOracle(u)
     good = _freeze(random_density(3, 55))
-    obs = random_density(3, 56)
-    oracle.expectation(good, obs)
+    w = np.array([0.5, 1.0 - 0.25j, -1.0])
+    oracle.expectation(good, vector=w)
     stored = oracle.apply(good)
     with pytest.raises(ValueError, match=match):
         call(oracle)
     assert oracle.queries == 1
     # the rejected state never replaces the stored evaluation
     assert oracle.apply(good) is stored
-    expected = np.trace(u @ good @ u.conj().T @ obs).real
-    assert oracle.expectation(good, obs) == pytest.approx(expected, abs=1e-14)
+    expected = np.vdot(w, u @ good @ u.conj().T @ w).real
+    assert oracle.expectation(good, vector=w) == pytest.approx(expected, abs=1e-14)
     assert oracle.queries == 2
 
 
@@ -473,7 +509,6 @@ def test_non_finite_query_rejected_before_counting(call, match):
     "call, match",
     [
         (lambda o: o.apply(np.eye(4)), r"state is \(4, 4\), channel dimension is 3"),
-        (lambda o: o.expectation(np.eye(3) / 3, np.eye(2)), r"observable is \(2, 2\)"),
         (
             lambda o: extract_phase_product(o, np.eye(3), np.eye(4), 0, 1),
             "u0 and v must have the same shape",
@@ -531,15 +566,15 @@ class TestStateTomography:
         for i in range(n):
             for j in range(i, n):
                 e_plus, e_minus = dense_e_pm(n, i, j)
-                mp = reference_oracle.expectation(rho, e_plus)
-                mm = reference_oracle.expectation(rho, e_minus)
+                mp = dense_reading(reference_oracle, rho, e_plus)
+                mm = dense_reading(reference_oracle, rho, e_minus)
                 if i == j:
                     expected[i, i] = mp
                 else:
                     expected[i, j] = mp - 1j * mm
                     expected[j, i] = mp + 1j * mm
         assert state_tomography(oracle, rho).tobytes() == expected.tobytes()
-        assert oracle.queries == reference_oracle.queries == n * n + n
+        assert oracle.queries == n * n + n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 32, 128])
     def test_frozen_and_writable_inputs_agree_bitwise(self, n):
@@ -609,7 +644,7 @@ class TestStateTomography:
         v = hermitian_eig(random_density(4, 21)).eigenvectors
         probe = probe_state(v, 1, 2)
         obs = herm_part(random_density(4, 22))
-        via_oracle = oracle.expectation(probe, obs)
+        via_oracle = oracle.expectation(probe, entries=all_entries(obs))
         recon = state_tomography(oracle, probe)
         via_tomo = np.real(np.trace(recon @ obs))
         assert_allclose(via_oracle, via_tomo, atol=1e-10)
@@ -848,8 +883,8 @@ class TestReconstruct:
         self, misread, rho0, cause
     ):
         class InexactOracle(ChannelOracle):
-            def expectation(self, state, observable=None, *, entries=None):
-                return misread(entries, super().expectation(state, observable, entries=entries))
+            def expectation(self, state, *, entries=None):
+                return misread(entries, super().expectation(state, entries=entries))
 
         n = 4
         oracle = InexactOracle(np.eye(n))
