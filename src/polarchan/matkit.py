@@ -99,6 +99,20 @@ def _check_finite(a: np.ndarray, label: str) -> np.ndarray:
     return a
 
 
+def _check_unitary(u: np.ndarray, label: str, *, exact: bool) -> np.ndarray:
+    """Return u, raising ValueError "<label> is not unitary within 1e-10" unless
+    u is finite with no entry beyond 1 + 1e-10, which a unitary never has, and,
+    when exact, ||U*U - I||_F <= 1e-10. The entry test forms no product, so it
+    runs before any product with u (U*U included) could overflow."""
+    if not (
+        np.isfinite(u).all()
+        and _entry_scale(u) <= 1 + 1e-10
+        and (not exact or unitarity_defect(u) <= 1e-10)
+    ):
+        raise ValueError(f"{label} is not unitary within 1e-10")
+    return u
+
+
 def _check_hermitian(a: np.ndarray, label: str) -> float:
     """Return a's entry scale, raising ValueError unless a is finite and
     ||a - a*||_F <= 1e-10 ||a||_F, compared on a scaled to unit entry scale so

@@ -5,8 +5,9 @@ the summed negative gradient, which is the closest unitary to that matrix
 and never increases the single-pair objective.
 
 One iteration costs one n x n SVD (the polar factor), three n x n products
-per pair (the gradient and the objective share U rho_i), and two more
-products: U* m for the residual and W V* for the polar factor.
+per pair (the gradient and the objective share U rho_i), written into three
+n x n buffers reused across the pairs, and two more products: U* m for the
+residual and W V* for the polar factor.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .matkit import (
     _check_finite,
     _check_hermitian,
     _check_tolerance,
+    _check_unitary,
     _entry_scale,
     _freeze,
     frob_norm,
@@ -53,10 +55,13 @@ STATUS_MAX_ITERS = "max-iters"
 # treated as singular (the SVD completion is still accepted, only flagged).
 _SINGULAR_RTOL = 1e-14
 
-# Largest accepted n * entry scale of a state. sqrt(2) times it bounds the
-# state's Frobenius norm, so a pair's objective and gradient stay below ~4e300
-# and the solver's squared norms cannot overflow.
-_STATE_SCALE_LIMIT = 1e150
+# Largest accepted n * entry scale L of a state. sqrt(2) L bounds the state's
+# Frobenius norm. The objective is degree 2 in the states, but the residual
+# squares the entries of U* m, whose norm is degree 2, so its sum of squares is
+# degree 4: for unitary U, ||U* m||_F <= 2P ||sigma||_F ||rho||_F <= 4P L^2 over
+# P pairs, and (4P L^2)^2 <= DBL_MAX (~1.8e308) needs L <= ~5.8e76 / sqrt(P).
+# 1e75 keeps every squared norm finite for P up to about 3000.
+_STATE_SCALE_LIMIT = 1e75
 
 
 def _check_scale(m: np.ndarray, scale: float, label: str) -> np.ndarray:
@@ -161,8 +166,10 @@ class SolveResult:
 
 def _checked_pairs(u, pairs):
     """U and its state pairs (a ChannelInstance or (rho, sigma) tuples) as
-    square matrices, every state through the overflow guard and of U's dimension."""
-    u = square(u)
+    square matrices: U finite with no entry a unitary cannot have, checked
+    before any product, and every state through the overflow guard and of U's
+    dimension."""
+    u = _check_unitary(square(u), "U", exact=False)
     if isinstance(pairs, ChannelInstance):
         pairs = pairs.pairs
     checked = []
@@ -178,20 +185,28 @@ def _grad_objective(u, pairs) -> tuple[np.ndarray, float]:
     """Summed negative gradient sum_i 2 sigma_i U rho_i and summed objective
     sum_i 0.5 ||sigma_i - U rho_i U*||_F^2, sharing U rho_i between them.
 
-    Three n x n products per pair. The objective is formed from the residual
-    matrix sigma_i - (U rho_i) U*, never from the gradient as
-    const - Re tr(U* m)/2, whose cancellation would leave ~1e-16 absolute
-    accuracy against tolerances of 1e-24 and below.
+    Three n x n products per pair, written into three n x n buffers that are
+    allocated once per call and reused across the pairs, so a multi-pair call
+    allocates nothing per pair. The products, their association and the pair
+    order are those of the plain expressions u @ rho, sigma @ ur and
+    sigma - ur @ uh, so the sums are bit for bit theirs. The objective is formed from the residual matrix
+    sigma_i - (U rho_i) U*, never from the gradient as const - Re tr(U* m)/2,
+    whose cancellation would leave ~1e-16 absolute accuracy against
+    tolerances of 1e-24 and below.
     """
     uh = u.conj().T
     m = np.zeros_like(u)
+    # C order whatever U's layout, as the plain products' own results: a
+    # buffer in a Fortran-ordered U's layout changes the BLAS call and the bits
+    ur = np.empty(u.shape, dtype=np.complex128)
+    su, d = np.empty_like(ur), np.empty_like(ur)
     total = 0.0
     for rho, sigma in pairs:
-        ur = u @ rho
-        m += sigma @ ur
-        d = sigma - ur @ uh
-        total += 0.5 * np.real(np.vdot(d, d))
-    return 2.0 * m, float(total)
+        np.matmul(u, rho, out=ur)
+        m += np.matmul(sigma, ur, out=su)
+        np.subtract(sigma, np.matmul(ur, uh, out=d), out=d)
+        total += 0.5 * np.vdot(d, d).real
+    return np.multiply(2.0, m, out=m), float(total)
 
 
 def _residual(u, m) -> float:

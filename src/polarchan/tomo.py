@@ -37,8 +37,8 @@ import numpy as np
 
 from .matkit import (
     _check_finite,
+    _check_unitary,
     _child_seeds,
-    _entry_scale,
     _freeze,
     _is_frozen,
     _relative_eigengap,
@@ -47,7 +47,6 @@ from .matkit import (
     hermitian_eig,
     random_density,
     square,
-    unitarity_defect,
 )
 from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult, _validated_state, solve
 
@@ -124,13 +123,7 @@ class ChannelOracle:
     """
 
     def __init__(self, hidden_u):
-        u = square(hidden_u)
-        # a unitary has no entry beyond 1 + 1e-10: checking that first keeps
-        # U*U from overflowing
-        if not (
-            np.isfinite(u).all() and _entry_scale(u) <= 1 + 1e-10 and unitarity_defect(u) <= 1e-10
-        ):
-            raise ValueError("hidden channel matrix is not unitary within 1e-10")
+        u = _check_unitary(square(hidden_u), "hidden channel matrix", exact=True)
         self._u = u.copy()
         self._uh = self._u.conj().T
         self._queries = 0

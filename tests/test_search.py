@@ -39,17 +39,29 @@ def exact_instance(n, seed, n_pairs=1):
     return hidden, ChannelInstance(pairs)
 
 
-def state_rule_entry_points(pairs):
-    """Every call that takes raw (rho, sigma) pairs: ChannelInstance and the
-    four solver kernels, each at U = I of the first state's dimension."""
-    u = np.eye(np.shape(pairs[0][0])[0])
+def kernel_calls(u, pairs):
+    """The four solver kernels at U on raw (rho, sigma) pairs."""
     return {
-        "ChannelInstance": lambda: ChannelInstance(pairs),
         "objective": lambda: objective(u, pairs[0]),
         "neg_gradient": lambda: neg_gradient(u, pairs[0]),
         "residual": lambda: residual(u, pairs),
         "step": lambda: step(u, pairs),
     }
+
+
+def state_rule_entry_points(pairs):
+    """Every call that takes raw (rho, sigma) pairs: ChannelInstance and the
+    four solver kernels, each at U = I of the first state's dimension."""
+    u = np.eye(np.shape(pairs[0][0])[0])
+    return {"ChannelInstance": lambda: ChannelInstance(pairs), **kernel_calls(u, pairs)}
+
+
+def rotated_pair(scale):
+    """(rho, Q rho Q*) with rho = scale * diag(1, 1/2) and Q = random_unitary(2, 3):
+    a pair that does not commute, so the residual at U = I is not zero."""
+    rho = np.diag([scale, scale / 2])
+    q = random_unitary(2, 3)
+    return rho, q @ rho @ q.conj().T
 
 
 def expanded_objective(u, rho, sigma):
@@ -120,13 +132,19 @@ class TestChannelInstance:
         "pairs, match",
         [
             ([(np.eye(2) / 2, np.eye(3) / 3)], r"pair 0: rho is \(2, 2\) but sigma is \(3, 3\)"),
-            # n * max entry above 1e150 would overflow the objective's squares
+            # n * max entry above 1e75 could overflow the residual's squares
             ([(np.diag([1e160, 5e159]), np.diag([5e159, 1e160]))], r"rho\[0\] is too large"),
             ([(np.eye(2), np.diag([1.0, 1e150]))], r"sigma\[0\] is too large"),
             # unguarded, objective overflows to inf on this pair
             (
                 [(np.diag([1e160, 1.0]), np.diag([1.0, 1e160]))],
-                r"^rho\[0\] is too large: n \* max entry = 2\.0e\+160 exceeds 1e\+150$",
+                r"^rho\[0\] is too large: n \* max entry = 2\.0e\+160 exceeds 1e\+75$",
+            ),
+            # unguarded, the objective stays finite but the residual's squared
+            # norm of U* m (degree 4 in the states) overflows on this pair
+            (
+                [rotated_pair(1e80)],
+                r"^rho\[0\] is too large: n \* max entry = 2\.0e\+80 exceeds 1e\+75$",
             ),
         ],
     )
@@ -159,10 +177,32 @@ class TestChannelInstance:
         assert isinstance(inst.pairs, tuple) and len(inst.pairs) == 1
 
     def test_largest_accepted_scale_solves_without_overflow(self):
-        # n * max entry = 2e140: the solve runs with every trace entry finite
-        rho, sigma = np.diag([1e140, 5e139]), np.diag([5e139, 1e140])
-        trace = solve(ChannelInstance([(rho, sigma)]), SolverConfig(max_iters=3)).trace
-        assert np.isfinite(trace.objective).all() and np.isfinite(trace.residual).all()
+        # n * max entry = 1e75, the limit: the pair does not commute, so the
+        # residual's squares reach ~1e297, and the solve still runs with every
+        # trace entry finite, for one pair and for the pairs workload's 20
+        rho, sigma = rotated_pair(5e74)
+        for n_pairs in (1, 20):
+            inst = ChannelInstance([(rho, sigma)] * n_pairs)
+            trace = solve(inst, SolverConfig(max_iters=3)).trace
+            assert np.isfinite(trace.objective).all() and np.isfinite(trace.residual).all()
+            assert trace.residual[0] > 1e148, n_pairs
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.full((4, 4), np.nan),
+            np.diag(np.full(4, np.inf)),
+            np.diag(np.full(4, -np.inf)),
+            # finite, but with an entry no unitary has
+            1e80 * np.eye(4),
+        ],
+        ids=["nan", "+inf", "-inf", "1e80-identity"],
+    )
+    def test_kernels_reject_a_u_no_unitary_can_be(self, u):
+        pair = (np.eye(4) / 4, np.eye(4) / 4)
+        for call in kernel_calls(u, [pair]).values():
+            with pytest.raises(ValueError, match=r"^U is not unitary within 1e-10$"):
+                call()
 
 
 class TestObjective:
@@ -422,20 +462,28 @@ class TestSolverConfig:
 class TestGradObjective:
     def test_matches_the_per_pair_formulas(self):
         # objective: sum_i 0.5 ||sigma_i - (U rho_i) U*||^2 in pair order, bit for bit;
-        # gradient: sum_i 2 (sigma_i U) rho_i, which associates differently, to rounding
-        for n_pairs in (1, 3, 20):
-            _, inst = exact_instance(7, 40 + n_pairs, n_pairs=n_pairs)
-            u = random_unitary(7, n_pairs)
+        # gradient: sum_i 2 (sigma_i U) rho_i, which associates differently, to rounding,
+        # and the kernel's own association, zeros plus sigma_i (U rho_i) in pair order
+        # then doubled, bit for bit, for a C- and a Fortran-ordered U, so that no
+        # buffer or batching change in the kernel can move an iterate unnoticed
+        for n, n_pairs in ((7, 1), (7, 3), (7, 20), (10, 20), (32, 20)):
+            _, inst = exact_instance(n, 40 + n_pairs, n_pairs=n_pairs)
+            u = random_unitary(n, n_pairs)
             uh = u.conj().T
             expected_obj = 0.0
             expected_grad = np.zeros_like(u)
+            kernel_grad = np.zeros_like(u)
             for rho, sigma in inst.pairs:
                 d = sigma - u @ rho @ uh
                 expected_obj += 0.5 * np.real(np.vdot(d, d))
                 expected_grad += 2.0 * (sigma @ u) @ rho
+                kernel_grad += sigma @ (u @ rho)
             m, obj = search._grad_objective(u, inst.pairs)
-            assert obj == float(expected_obj), n_pairs
-            assert frob_norm(m - expected_grad) <= 1e-13 * frob_norm(expected_grad), n_pairs
+            assert obj == float(expected_obj), (n, n_pairs)
+            assert frob_norm(m - expected_grad) <= 1e-13 * frob_norm(expected_grad), (n, n_pairs)
+            assert np.array_equal(m, 2.0 * kernel_grad), (n, n_pairs)
+            m_f, obj_f = search._grad_objective(np.asfortranarray(u), inst.pairs)
+            assert np.array_equal(m_f, m) and obj_f == obj, (n, n_pairs)
 
     def test_solve_evaluates_it_once_per_trace_row(self, monkeypatch):
         calls = []
