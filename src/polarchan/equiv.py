@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkit import _check_finite, _check_tolerance, frob_norm, square
+from .matkit import _check_finite, _check_tolerance, _check_unitary, _entry_scale, frob_norm, square
 
 __all__ = [
     "DiagonalRelation",
@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-12
+
+# Largest accepted n * entry scale of a pivot-scaled matrix: the squared
+# Frobenius norm of a difference of two such matrices stays below 8e300.
+_DIFF_SCALE_LIMIT = 1e150
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +45,11 @@ class PivotError(ValueError):
 def relation_matrix(u1, u2, v) -> DiagonalRelation:
     """Conjugate U2* U1 into the basis V; the result is a unimodular diagonal
     exactly when U1 and U2 are diagonal-phase equivalent over V. A non-finite
-    argument raises ValueError before any arithmetic."""
-    u1 = _check_finite(square(u1), "u1")
-    u2 = _check_finite(square(u2), "u2")
-    v = _check_finite(square(v), "v")
+    argument, or one with an entry no unitary has, raises ValueError first."""
+    u1, u2, v = (
+        _check_unitary(_check_finite(square(m), label), label, exact=False)
+        for m, label in ((u1, "u1"), (u2, "u2"), (v, "v"))
+    )
     if not (u1.shape == u2.shape == v.shape):
         raise ValueError("all three matrices must share one shape")
     delta = v.conj().T @ u2.conj().T @ u1 @ v
@@ -54,7 +59,7 @@ def relation_matrix(u1, u2, v) -> DiagonalRelation:
 
 def is_equiv_under(u1, u2, v, tol: float) -> bool:
     """True iff U1 = U2 V D V* holds within tol for some unimodular diagonal D.
-    A non-finite argument raises ValueError (see ``relation_matrix``)."""
+    A non-finite or oversized argument raises ValueError (see ``relation_matrix``)."""
     _check_tolerance(tol, "tol")
     rel = relation_matrix(u1, u2, v)
     if rel.offdiag_mass > tol:
@@ -69,8 +74,8 @@ def normalized_diff(u, uprime, pivot: str = "entry11") -> float:
     Both matrices pivot on the position of the first matrix's largest-modulus
     entry; pivot='entry11' pivots on entry (0, 0) instead whenever that entry
     clears PIVOT_TOL in both. PivotError means the chosen pivot is tiny in
-    one of the two matrices. A non-finite argument raises ValueError before
-    any arithmetic.
+    one of the two matrices. A non-finite argument, or one whose n * entry
+    scale over its pivot exceeds 1e150, raises ValueError before it can overflow.
     """
     u = _check_finite(square(u), "u")
     up = _check_finite(square(uprime), "uprime")
@@ -85,4 +90,9 @@ def normalized_diff(u, uprime, pivot: str = "entry11") -> float:
     pp = complex(up[i, j])
     if min(abs(p), abs(pp)) <= PIVOT_TOL:
         raise PivotError(f"pivot entry ({i},{j}) has modulus {min(abs(p), abs(pp)):.2e}")
+    for m, pivot_value, label in ((u, p, "u"), (up, pp, "uprime")):
+        bound = m.shape[0] * _entry_scale(m) / abs(pivot_value)
+        if bound > _DIFF_SCALE_LIMIT:
+            raise ValueError(f"{label} over its pivot is too large: "
+                             f"n * max entry = {bound:.1e} exceeds {_DIFF_SCALE_LIMIT:.0e}")
     return frob_norm(u / p - up / pp)

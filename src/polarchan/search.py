@@ -19,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matkit import (
-    _check_finite,
     _check_hermitian,
     _check_tolerance,
     _check_unitary,
-    _entry_scale,
     _freeze,
     frob_norm,
     herm_part,
@@ -64,25 +62,15 @@ _SINGULAR_RTOL = 1e-14
 _STATE_SCALE_LIMIT = 1e75
 
 
-def _check_scale(m: np.ndarray, scale: float, label: str) -> np.ndarray:
-    """Return m, raising ValueError when n times its entry scale exceeds _STATE_SCALE_LIMIT."""
-    bound = m.shape[0] * scale
+def _validated_state(m, label: str) -> np.ndarray:
+    """square(m) under the one state rule: finite, Hermitian, positive
+    semidefinite within 1e-10, and n * entry scale within _STATE_SCALE_LIMIT."""
+    m = square(m)
+    bound = m.shape[0] * _check_hermitian(m, label)
     if bound > _STATE_SCALE_LIMIT:
         raise ValueError(
             f"{label} is too large: n * max entry = {bound:.1e} exceeds {_STATE_SCALE_LIMIT:.0e}"
         )
-    return m
-
-
-def _bounded_state(m, label: str) -> np.ndarray:
-    """square(m), checked finite with n * entry scale within _STATE_SCALE_LIMIT."""
-    m = _check_finite(square(m), label)
-    return _check_scale(m, _entry_scale(m), label)
-
-
-def _validated_state(m, label: str) -> np.ndarray:
-    m = square(m)
-    _check_scale(m, _check_hermitian(m, label), label)
     evals = np.linalg.eigvalsh(herm_part(m))
     if evals[0] < -1e-10 * np.abs(evals).max():
         cause = f"its smallest eigenvalue is {evals[0] / np.abs(evals).max():.3g} times its largest"
@@ -164,21 +152,20 @@ class SolveResult:
     singular_steps: int = 0
 
 
+def _as_instance(pairs) -> ChannelInstance:
+    """pairs itself if a ChannelInstance, else one built from (so checked on) its raw pairs."""
+    return pairs if isinstance(pairs, ChannelInstance) else ChannelInstance(list(pairs))
+
+
 def _checked_pairs(u, pairs):
-    """U and its state pairs (a ChannelInstance or (rho, sigma) tuples) as
-    square matrices: U finite with no entry a unitary cannot have, checked
-    before any product, and every state through the overflow guard and of U's
-    dimension."""
+    """U as a square matrix, finite with no entry a unitary cannot have,
+    checked before any product, and the pairs of ``_as_instance(pairs)``, of
+    U's dimension. An instance's frozen pairs are taken as already checked."""
     u = _check_unitary(square(u), "U", exact=False)
-    if isinstance(pairs, ChannelInstance):
-        pairs = pairs.pairs
-    checked = []
-    for k, (rho, sigma) in enumerate(pairs):
-        rho, sigma = _bounded_state(rho, f"rho[{k}]"), _bounded_state(sigma, f"sigma[{k}]")
-        if rho.shape != u.shape or sigma.shape != u.shape:
-            raise ValueError(f"dimension mismatch between U {u.shape} and state pair {k}")
-        checked.append((rho, sigma))
-    return u, checked
+    instance = _as_instance(pairs)
+    if instance.n != u.shape[0]:
+        raise ValueError(f"dimension mismatch between U {u.shape} and state pair 0")
+    return u, instance.pairs
 
 
 def _grad_objective(u, pairs) -> tuple[np.ndarray, float]:
@@ -251,8 +238,7 @@ def solve(instance, config: SolverConfig | None = None) -> SolveResult:
     The trace records the true objective at the start point (iteration 0 with
     step norm 0) and every subsequent iterate.
     """
-    if not isinstance(instance, ChannelInstance):
-        instance = ChannelInstance(list(instance))
+    instance = _as_instance(instance)
     cfg = config if config is not None else SolverConfig()
     pairs = instance.pairs
     traces = [np.trace(m).real for pair in pairs for m in pair]

@@ -128,6 +128,37 @@ def test_non_finite_argument_rejected(call, position, name, bad):
         call(*args)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        # the product V* U2* U1 V overflowed in matmul
+        (lambda u: relation_matrix(1e200 * u, 1e200 * u, np.eye(3)), r"^u1 is not unitary within 1e-10$"),
+        (lambda u: is_equiv_under(u, 1e200 * u, np.eye(3), 1e-6), r"^u2 is not unitary within 1e-10$"),
+        # the Frobenius norm of a 1e300 difference overflowed in its dot
+        (
+            lambda u: normalized_diff(np.eye(3), np.diag([1.0, 1e300, 1.0])),
+            r"^uprime over its pivot is too large: n \* max entry = 3\.0e\+300 exceeds 1e\+150$",
+        ),
+        # 1e300 over the 1e-11 pivot overflowed in divide
+        (
+            lambda u: normalized_diff(np.eye(3), np.diag([1e-11, 1e300, 1.0]), pivot="max-modulus-entry"),
+            r"^uprime over its pivot is too large: n \* max entry = inf exceeds 1e\+150$",
+        ),
+    ],
+    ids=["relation-1e200", "equiv-1e200", "diff-norm-1e300", "diff-divide-1e300"],
+)
+def test_huge_finite_argument_rejected_before_it_can_overflow(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(random_unitary(3, 1))
+
+
+def test_scale_limit_leaves_the_diff_finite():
+    # n * max entry just under 1e150 on either side: the squared norm stays finite
+    big = np.diag([1.0, 3e149, 1.0])
+    assert normalized_diff(np.eye(3), big) == frob_norm(big - np.eye(3))
+    assert normalized_diff(big, np.eye(3)) == frob_norm(big - np.eye(3))
+
+
 class TestNormalizedDiff:
     def test_global_phase_cancels(self):
         u = random_unitary(5, 25)

@@ -77,12 +77,18 @@ class TestChannelInstance:
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.5, 0.4], [0.1, 0.5]])
-        with pytest.raises(ValueError):
-            ChannelInstance([(bad, np.eye(2) / 2)])
+        for call in state_rule_entry_points([(bad, np.eye(2) / 2)]).values():
+            with pytest.raises(ValueError, match=r"^rho\[0\] is not Hermitian within 1e-10$"):
+                call()
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            ChannelInstance([(np.diag([1.0, -0.5]), np.eye(2) / 2)])
+        match = (
+            r"^sigma\[0\] is not positive semidefinite within 1e-10: "
+            r"its smallest eigenvalue is -0\.5 times its largest$"
+        )
+        for call in state_rule_entry_points([(np.eye(2) / 2, np.diag([1.0, -0.5]))]).values():
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_accepts_rank_deficient_state(self):
         rho = np.diag([0.7, 0.3, 0.0])
@@ -149,12 +155,7 @@ class TestChannelInstance:
         ],
     )
     def test_rejects_bad_pairs(self, pairs, match):
-        calls = state_rule_entry_points(pairs)
-        rho, sigma = pairs[0]
-        if rho.shape != sigma.shape:
-            # the kernels hold each state to U's dimension and name that instead
-            calls = {"ChannelInstance": calls["ChannelInstance"]}
-        for call in calls.values():
+        for call in state_rule_entry_points(pairs).values():
             with pytest.raises(ValueError, match=match):
                 call()
 
@@ -175,6 +176,41 @@ class TestChannelInstance:
             stored.flags.writeable = True
         assert matkit._is_frozen(stored)
         assert isinstance(inst.pairs, tuple) and len(inst.pairs) == 1
+
+    def test_kernels_on_raw_pairs_equal_their_values_on_the_instance_bitwise(self):
+        # real and Fortran-ordered raw states: the instance holds C-ordered
+        # complex copies, and the kernels must see exactly those
+        raw = [
+            (np.asfortranarray(random_density(7, k).real), np.asfortranarray(random_density(7, k + 10)))
+            for k in range(3)
+        ]
+        inst = ChannelInstance(raw)
+        u = random_unitary(7, 5)
+        for k, pair in enumerate(raw):
+            m, obj = search._grad_objective(u, ChannelInstance([pair]).pairs)
+            assert objective(u, pair) == obj, k
+            assert np.array_equal(neg_gradient(u, pair), m), k
+        assert residual(u, raw) == residual(u, inst)
+        assert np.array_equal(step(u, raw), step(u, inst))
+
+    def test_kernels_take_an_instance_as_given(self, monkeypatch):
+        # an instance's frozen pairs were checked when it was built: a kernel
+        # given one coerces only U and runs no state check on the pairs
+        _, inst = exact_instance(4, 3, n_pairs=3)
+        u = random_unitary(4, 6)
+        coerced = []
+        coerce = search.square
+
+        def counting(a):
+            coerced.append(a)
+            return coerce(a)
+
+        monkeypatch.setattr(search, "square", counting)
+        for call in (lambda: residual(u, inst), lambda: step(u, inst)):
+            coerced.clear()
+            call()
+            assert len(coerced) == 1 and coerced[0] is u
+        assert search._checked_pairs(u, inst)[1] is inst.pairs
 
     def test_largest_accepted_scale_solves_without_overflow(self):
         # n * max entry = 1e75, the limit: the pair does not commute, so the
@@ -281,7 +317,7 @@ class TestResidual:
 
     def test_dimension_mismatch(self):
         rho3 = random_density(3, 1)
-        with pytest.raises(ValueError, match=r"dimension mismatch between U \(4, 4\) and state pair 1"):
+        with pytest.raises(ValueError, match=r"^pair 1 has dimension 3, expected 4$"):
             residual(np.eye(4), [(np.eye(4) / 4, np.eye(4) / 4), (rho3, rho3)])
 
 
@@ -404,19 +440,48 @@ class TestSolve:
         assert from_list.status == from_instance.status
 
     def test_stop_rule_is_scale_free(self):
-        # scaling a pair by 2^k scales the objective by exactly 4^k and leaves
-        # the polar updates bit-identical, so the stop rule must see the same run
-        hidden, rho = random_unitary(6, 1), random_density(6, 2)
-        base = solve([(rho, hidden @ rho @ hidden.conj().T)])
-        assert base.status == STATUS_CONVERGED_TOL
-        for k in (-33, -20, 0, 20):
-            scale = 2.0**k
-            res = solve([(scale * rho, scale * (hidden @ rho @ hidden.conj().T))])
-            assert res.status == STATUS_CONVERGED_TOL
-            assert len(res.trace) == len(base.trace)
-            assert np.array_equal(res.u_hat, base.u_hat)
-            assert np.array_equal(res.trace.step_norm, base.trace.step_norm)
-            assert np.array_equal(res.trace.objective, base.trace.objective * 4.0**k)
+        # scaling every state by 2^k scales the objective by exactly 4^k and
+        # leaves the polar updates bit-identical, so the stop rule must see the same run
+        for n, n_pairs in ((6, 1), (10, 1), (10, 20), (32, 5)):
+            _, inst = exact_instance(n, 1, n_pairs=n_pairs)
+            base = solve(inst)
+            assert base.status == STATUS_CONVERGED_TOL
+            for k in (-20, -3, 5, 30):
+                scale = 2.0**k
+                res = solve([(scale * rho, scale * sigma) for rho, sigma in inst.pairs])
+                assert res.status == STATUS_CONVERGED_TOL
+                assert len(res.trace) == len(base.trace), (n, n_pairs, k)
+                assert np.array_equal(res.u_hat, base.u_hat), (n, n_pairs, k)
+                assert np.array_equal(res.trace.step_norm, base.trace.step_norm), (n, n_pairs, k)
+                assert np.array_equal(res.trace.objective, base.trace.objective * 4.0**k), (n, n_pairs, k)
+
+    @pytest.mark.parametrize("n, n_pairs", [(6, 1), (10, 1), (10, 20), (32, 5)])
+    def test_joint_conjugation_conjugates_the_answer(self, n, n_pairs):
+        # (p rho_i p*, p sigma_i p*) maps every iterate U to p U p*, the
+        # identity start included, so the run is the same up to rounding
+        _, inst = exact_instance(n, 1, n_pairs=n_pairs)
+        p = random_unitary(n, 77)
+        base = solve(inst)
+        res = solve([(p @ rho @ p.conj().T, p @ sigma @ p.conj().T) for rho, sigma in inst.pairs])
+        assert res.status == base.status == STATUS_CONVERGED_TOL
+        assert len(res.trace) == len(base.trace)
+        expected = p @ base.u_hat @ p.conj().T
+        if n_pairs == 1:
+            # one pair fixes U only up to the class U V D V*, and rounding
+            # drifts along it (5.9e-10 per entry at n=10), so compare the class
+            v = hermitian_eig(p @ inst.pairs[0][0] @ p.conj().T).eigenvectors
+            assert is_equiv_under(res.u_hat, expected, v, 1e-10)
+        else:
+            assert frob_norm(res.u_hat - expected) < 1e-10
+
+    @pytest.mark.parametrize("n, n_pairs", [(10, 20), (32, 5)])
+    def test_pair_order_does_not_move_the_answer(self, n, n_pairs):
+        # not bitwise: the sums over the pairs reassociate
+        _, inst = exact_instance(n, 1, n_pairs=n_pairs)
+        base = solve(inst)
+        res = solve(inst.pairs[::-1])
+        assert res.status == base.status
+        assert frob_norm(res.u_hat - base.u_hat) < 1e-12
 
     def test_small_scale_pair_converges_in_the_class(self):
         # an absolute tol would stop this pair after 62 iterations, outside the class

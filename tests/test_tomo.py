@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polarchan.equiv import normalized_diff
+from polarchan.harness import EX2_SOLVER, build_example2_circuit
 from polarchan.matkit import (
     _freeze,
     _is_frozen,
@@ -900,6 +901,23 @@ class TestReconstruct:
         rep = reconstruct(oracle, random_density(n, 66))
         assert rep.budget_used == n * n + n + 2 * (n - 1)
         assert oracle.evaluations == 1 + (n - 1) + 5
+
+    def test_global_phase_of_the_hidden_unitary_leaves_the_report_bitwise(self):
+        # -U, iU and -iU implement the channel of U, and multiplying by one of
+        # them is exact in floating point, so every query reads the same bits
+        hidden, rho0 = build_example2_circuit(), random_density(8, 5)
+        base = reconstruct(ChannelOracle(hidden), rho0, EX2_SOLVER)
+        for phase in (-1, 1j, -1j):
+            rep = reconstruct(ChannelOracle(phase * hidden), rho0, EX2_SOLVER)
+            for name in ("u0", "v", "d", "u_recovered"):
+                assert np.array_equal(getattr(rep, name), getattr(base, name)), (phase, name)
+            for name in ("budget_used", "tomography_queries", "phase_queries", "eigengap",
+                         "residual_on_tests"):
+                assert getattr(rep, name) == getattr(base, name), (phase, name)
+            assert rep.solve.status == base.solve.status
+            assert rep.solve.singular_steps == base.solve.singular_steps
+            for name in ("objective", "step_norm", "residual"):
+                assert np.array_equal(getattr(rep.solve.trace, name), getattr(base.solve.trace, name))
 
     def test_budget_ceiling_across_sizes(self):
         for n in (2, 3, 5):
