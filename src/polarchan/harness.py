@@ -128,8 +128,8 @@ def read_instance_file(path) -> list[tuple[np.ndarray, np.ndarray]]:
 # run plumbing
 # ---------------------------------------------------------------------------
 
-def generate_exact_instance(n: int, n_pairs: int, seed: int):
-    """Hidden random unitary plus consistent (rho, U rho U*) pairs, all from one seed."""
+def generate_exact_instance(n: int, n_pairs: int, seed: int) -> ChannelInstance:
+    """Consistent (rho, U rho U*) pairs of a hidden random unitary U, all from one seed."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     seeds = _child_seeds(seed, n_pairs + 1)
@@ -138,7 +138,7 @@ def generate_exact_instance(n: int, n_pairs: int, seed: int):
     for k in range(n_pairs):
         rho = random_density(n, seeds[k + 1])
         pairs.append((rho, hidden @ rho @ hidden.conj().T))
-    return hidden, ChannelInstance(pairs)
+    return ChannelInstance(pairs)
 
 
 def _write_trace(path, trace: IterationTrace) -> None:
@@ -168,7 +168,7 @@ def _solve_record(result) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    solver = SolverConfig(max_iters=args.max_iters, tol=args.tol, stall_tol=args.stall_tol)
+    solver = SolverConfig(max_iters=args.max_iters, tol=args.tol)
     if args.input_path is not None:
         if args.n is not None or args.pairs is not None:
             raise ValueError("solve takes either --in <instance.json> or --n/--pairs, not both")
@@ -176,7 +176,7 @@ def cmd_solve(args: argparse.Namespace, out: Path) -> int:
     else:
         n = 10 if args.n is None else args.n
         n_pairs = 1 if args.pairs is None else args.pairs
-        _, instance = generate_exact_instance(n, n_pairs, args.seed)
+        instance = generate_exact_instance(n, n_pairs, args.seed)
 
     t0 = time.perf_counter()
     result = solve(instance, solver)
@@ -231,7 +231,7 @@ def cmd_repro_ex1(args: argparse.Namespace, out: Path) -> int:
     seeds = _child_seeds(args.seed, 2)
     summary = {}
     for name, n_pairs, child in (("single", 1, seeds[0]), ("multi", 20, seeds[1])):
-        _, instance = generate_exact_instance(10, n_pairs, child)
+        instance = generate_exact_instance(10, n_pairs, child)
         result = solve(instance, EX1_SOLVER)
         _write_trace(out / f"ex1_{name}_trace.csv", result.trace)
         summary[name] = {"pairs": n_pairs, **_solve_record(result)}
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="input_path", default=None, help="instance JSON file")
     sp.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, help="iteration cap")
     sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="objective threshold at unit trace")
-    sp.add_argument("--stall-tol", type=float, default=SolverConfig.stall_tol, help="stall threshold")
 
     sp = _add_command(
         sub, "reconstruct", cmd_reconstruct, "recover a hidden channel within the query budget"

@@ -53,6 +53,10 @@ STATUS_MAX_ITERS = "max-iters"
 # treated as singular (the SVD completion is still accepted, only flagged).
 _SINGULAR_RTOL = 1e-14
 
+# Update norm ||U_new - U||_F below which the iteration has stalled. Absolute:
+# the iterates are unitary whatever the states' scale.
+_STALL_TOL = 1e-13
+
 # Largest accepted n * entry scale L of a state. sqrt(2) L bounds the state's
 # Frobenius norm. The objective is degree 2 in the states, but the residual
 # squares the entries of U* m, whose norm is degree 2, so its sum of squares is
@@ -112,12 +116,12 @@ class ChannelInstance:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination knobs for the fixed-point solver, which starts at the identity."""
+    """Iteration cap and objective threshold of the fixed-point solver, which
+    starts at the identity and also stops when its update norm stalls below 1e-13."""
 
     max_iters: int = 5000
     # objective threshold at unit trace; solve rescales the objective by the pairs' trace
     tol: float = 1e-24
-    stall_tol: float = 1e-13
 
     def __post_init__(self):
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
@@ -125,7 +129,6 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         _check_tolerance(self.tol, "tol", positive=True)
-        _check_tolerance(self.stall_tol, "stall_tol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,13 +231,13 @@ def step(u, pairs) -> np.ndarray:
 
 def solve(instance, config: SolverConfig | None = None) -> SolveResult:
     """Iterate the polar fixed-point update from the identity until the
-    objective drops below tol * 4^k, the update norm stalls below stall_tol,
-    or max_iters is exhausted.
+    objective drops below tol * 4^k, the update norm stalls below _STALL_TOL
+    (1e-13, absolute), or max_iters updates are done.
 
     2^k is the power of two nearest (on a log scale) the mean trace of the
     pairs' states, k = 0 when that mean is 0. The objective is homogeneous of
     degree 2 in the states and the update ignores a positive scale, so the
-    stop rule is scale-free, and at unit trace tol is the plain threshold.
+    objective stop is scale-free, and at unit trace tol is the plain threshold.
     The trace records the true objective at the start point (iteration 0 with
     step norm 0) and every subsequent iterate.
     """
@@ -246,32 +249,27 @@ def solve(instance, config: SolverConfig | None = None) -> SolveResult:
     k = round(math.log2(mean_trace)) if mean_trace > 0 else 0
 
     u = np.eye(instance.n, dtype=np.complex128)
-    m, obj = _grad_objective(u, pairs)
-    objs = [obj]
-    steps = [0.0]
-    residuals = [_residual(u, m)]
+    objs, steps, residuals = [], [], []
+    dnorm = 0.0
     singular = 0
-
     status = STATUS_MAX_ITERS
-    if math.ldexp(obj, -2 * k) < cfg.tol:
-        status = STATUS_CONVERGED_TOL
-    else:
-        for _ in range(cfg.max_iters):
+    for it in range(cfg.max_iters + 1):  # one trace row per pass, row 0 at the start point
+        if it:
             polar = poldec(m)
             svals = polar.singular_values
-            singular += bool(svals[0] == 0.0 or svals[-1] <= svals[0] * _SINGULAR_RTOL)
+            singular += bool(svals[-1] <= svals[0] * _SINGULAR_RTOL)
             dnorm = frob_norm(polar.unitary - u)
             u = polar.unitary
-            m, obj = _grad_objective(u, pairs)  # m is reused for the residual and the next update
-            objs.append(obj)
-            steps.append(dnorm)
-            residuals.append(_residual(u, m))
-            if math.ldexp(obj, -2 * k) < cfg.tol:
-                status = STATUS_CONVERGED_TOL
-                break
-            if dnorm < cfg.stall_tol:
-                status = STATUS_CONVERGED_STALL
-                break
+        m, obj = _grad_objective(u, pairs)  # m is reused for the residual and the next update
+        objs.append(obj)
+        steps.append(dnorm)
+        residuals.append(_residual(u, m))
+        if math.ldexp(obj, -2 * k) < cfg.tol:
+            status = STATUS_CONVERGED_TOL
+            break
+        if it and dnorm < _STALL_TOL:
+            status = STATUS_CONVERGED_STALL
+            break
 
     trace = IterationTrace(
         objective=np.asarray(objs, dtype=np.float64),

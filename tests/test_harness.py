@@ -91,7 +91,7 @@ class TestMatrixFiles:
             read_instance_file(path)
 
     def test_instance_file_round_trip(self, tmp_path):
-        _, inst = generate_exact_instance(3, 2, 5)
+        inst = generate_exact_instance(3, 2, 5)
         path = tmp_path / "inst.json"
         write_instance_file(path, inst.pairs)
         back = read_instance_file(path)
@@ -120,7 +120,7 @@ class TestCmdSolve:
     def test_trace_csv_matches_solve_result(self, tmp_path):
         out = tmp_path / "run"
         assert main(["solve", "--n", "5", "--pairs", "2", "--seed", "13", "--out", str(out)]) == 0
-        _, inst = generate_exact_instance(5, 2, 13)
+        inst = generate_exact_instance(5, 2, 13)
         trace = solve(inst, SolverConfig()).trace
         rows = [r.split(",") for r in (out / "trace.csv").read_text().splitlines()[1:]]
         assert len(rows) == len(trace)
@@ -253,14 +253,14 @@ class TestCmdReconstruct:
 class TestCliSurface:
     def test_solve_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["solve"])
-        flags = SolverConfig(max_iters=args.max_iters, tol=args.tol, stall_tol=args.stall_tol)
+        flags = SolverConfig(max_iters=args.max_iters, tol=args.tol)
         assert flags == SolverConfig()
         assert args.seed == 0
 
     def test_option_strings_per_command(self):
         shared = {"-h", "--help", "--seed", "--out"}
         expected = {
-            "solve": shared | {"--n", "--pairs", "--in", "--max-iters", "--tol", "--stall-tol"},
+            "solve": shared | {"--n", "--pairs", "--in", "--max-iters", "--tol"},
             "reconstruct": shared | {"--in", "--circuit"},
             "repro-ex1": shared,
             "repro-ex2": shared,
@@ -301,7 +301,6 @@ class TestExitCodeTable:
             (["solve", "--n", "6", "--seed", "0", "--max-iters", "2", "--tol", "1e-30"], 2),
             (["solve", "--n", "4", "--seed", "-1"], 1),
             (["solve", "--n", "4", "--out", below_file], 1),
-            (["solve", "--n", "4", "--stall-tol", "nan"], 1),
             (["solve", "--n", "4", "--tol", "inf"], 1),
             (["solve", "--in", str(ok_inst), "--n", "7", "--pairs", "4"], 1),
             (["solve", "--in", str(ok_inst), "--pairs", "1"], 1),
@@ -320,10 +319,12 @@ class TestExitCodeTable:
             (["solve", "--in", str(non_herm)], 1),
             (["solve", "--in", str(huge_inst)], 1),
             (["reconstruct", "--in", str(huge_mat)], 1),
-            # only solve takes solver flags and no command takes --init: each of
-            # these exits 0 without its last flag
+            # only solve takes solver flags, and no command takes --init or
+            # --stall-tol (the stall threshold is fixed): each of these exits 0
+            # without its last flag
             (["reconstruct", "--circuit", "example2", "--tol", "1e-3"], 1),
             (["repro-ex1", "--max-iters", "5"], 1),
+            (["solve", "--n", "4", "--stall-tol", "nan"], 1),
             (["repro-ex2", "--stall-tol", "0"], 1),
             (["solve", "--init", "random"], 1),
         ]

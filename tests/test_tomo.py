@@ -905,19 +905,25 @@ class TestReconstruct:
     def test_global_phase_of_the_hidden_unitary_leaves_the_report_bitwise(self):
         # -U, iU and -iU implement the channel of U, and multiplying by one of
         # them is exact in floating point, so every query reads the same bits
-        hidden, rho0 = build_example2_circuit(), random_density(8, 5)
-        base = reconstruct(ChannelOracle(hidden), rho0, EX2_SOLVER)
-        for phase in (-1, 1j, -1j):
-            rep = reconstruct(ChannelOracle(phase * hidden), rho0, EX2_SOLVER)
-            for name in ("u0", "v", "d", "u_recovered"):
-                assert np.array_equal(getattr(rep, name), getattr(base, name)), (phase, name)
-            for name in ("budget_used", "tomography_queries", "phase_queries", "eigengap",
-                         "residual_on_tests"):
-                assert getattr(rep, name) == getattr(base, name), (phase, name)
-            assert rep.solve.status == base.solve.status
-            assert rep.solve.singular_steps == base.solve.singular_steps
-            for name in ("objective", "step_norm", "residual"):
-                assert np.array_equal(getattr(rep.solve.trace, name), getattr(base.solve.trace, name))
+        cases = [
+            (build_example2_circuit(), random_density(8, 5), EX2_SOLVER),
+            # converges in 2652 iterations under the default config
+            (random_unitary(16, 1), random_density(16, 5), None),
+        ]
+        for hidden, rho0, solver in cases:
+            n = hidden.shape[0]
+            base = reconstruct(ChannelOracle(hidden), rho0, solver)
+            for phase in (-1, 1j, -1j):
+                rep = reconstruct(ChannelOracle(phase * hidden), rho0, solver)
+                for name in ("u0", "v", "d", "u_recovered"):
+                    assert np.array_equal(getattr(rep, name), getattr(base, name)), (n, phase, name)
+                for name in ("budget_used", "tomography_queries", "phase_queries", "eigengap",
+                             "residual_on_tests"):
+                    assert getattr(rep, name) == getattr(base, name), (n, phase, name)
+                assert rep.solve.status == base.solve.status
+                assert rep.solve.singular_steps == base.solve.singular_steps
+                for name in ("objective", "step_norm", "residual"):
+                    assert np.array_equal(getattr(rep.solve.trace, name), getattr(base.solve.trace, name))
 
     def test_budget_ceiling_across_sizes(self):
         for n in (2, 3, 5):
