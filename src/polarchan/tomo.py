@@ -8,17 +8,20 @@ An observable goes in as its nonzero entries (rows, cols, weights) or as a
 vector w standing for the rank-1 projector w w*. Tomography sends each of
 its E+/E- observables as its two entries, so a query reads two entries of
 the channel output. Phase extraction makes two rank-1 reads, Re w* Phi(s) w,
-of one channel evaluation per phase: its probe s is the traceless
-(v_p v_q* + v_q v_p*)/2, and no n x n projector is built. A full
-reconstruction spends n^2+n queries on state tomography of one output state
-plus 2(n-1) queries on diagonal-phase extraction, staying under the n^2+3n
-ceiling.
+of one channel evaluation per phase. Its probe s is the traceless
+(v_p v_q* + v_q v_p*)/2, and it reaches the oracle as its two vectors, a
+``PhaseProbe``: the oracle evaluates Phi(s) = (x y* + y x*)/2, with x = U v_p
+and y = U v_q, in O(n^2). Phase extraction builds no n x n probe and no
+n x n projector. A full reconstruction spends n^2+n queries on state
+tomography of one output state plus 2(n-1) queries on diagonal-phase
+extraction, staying under the n^2+3n ceiling.
 
 The oracle keeps its latest evaluation of a frozen state (``matkit._freeze``:
 read-only down its whole ``.base`` chain, which ends in a ``bytes`` object,
-so its entries can never change). A repeat query on that same object reads
-the oracle's frozen output without copying or coercing anything. Tomography
-freezes its input once and phase extraction its probe. Any other state is
+so its entries can never change) or of a ``PhaseProbe``, whose vectors are
+frozen. A repeat query on that same object reads the oracle's frozen output
+without copying or coercing anything. Tomography freezes its input once and
+phase extraction sends one probe for both of its queries. Any other state is
 evaluated afresh.
 
 A tomography query is therefore O(1) and costs only interpreter work: the
@@ -52,6 +55,7 @@ from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult
 
 __all__ = [
     "ChannelOracle",
+    "PhaseProbe",
     "ReconstructionReport",
     "DegenerateStateError",
     "ReconstructionError",
@@ -71,6 +75,11 @@ RECONSTRUCT_TOL = 1e-28
 CHECK_SEED = 0
 # expectation's message when it is given other than one observable form.
 _ONE_FORM = "give exactly one of entries and vector"
+# Largest accepted entry scale L of a vector (an observable's or a probe's).
+# Its squared norm is at most 2 n L^2, finite for every n below ~9e7. That
+# bounds a probe's output entries, and a read Re w* Phi(s) w up to the
+# state's norm, so neither overflows at any n the oracle can hold.
+_VECTOR_SCALE_LIMIT = 1e150
 
 
 class DegenerateStateError(ValueError):
@@ -98,6 +107,63 @@ def _check_indices(indices, n: int) -> None:
     raise ValueError(f"index {k!r} is not an integer in range({n})")
 
 
+def _check_probe_indices(p, q, n: int) -> None:
+    """The phase probe's index rule: p and q are distinct integers (not
+    bools) in range(n)."""
+    _check_indices((p, q), n)
+    if p == q:
+        raise ValueError(f"probe indices must be distinct columns, got {(p, q)}")
+
+
+def _checked_vector(w, n: int, label: str) -> np.ndarray:
+    """w as a complex128 vector under the one vector rule: length n, finite,
+    and entry scale within _VECTOR_SCALE_LIMIT. It forms no product, so it
+    runs before any product with w could overflow."""
+    w = np.asarray(w, dtype=np.complex128)
+    if w.shape != (n,):
+        raise ValueError(f"{label} is {w.shape}, channel dimension is {n}")
+    # one pass over the 2n real parts: a NaN propagates through the max, and
+    # an infinity exceeds the limit
+    scale = np.abs(np.ascontiguousarray(w).view(np.float64)).max()
+    if not scale <= _VECTOR_SCALE_LIMIT:
+        _check_finite(w, label)
+        raise ValueError(f"{label} is too large: max entry {scale:.1e} exceeds {_VECTOR_SCALE_LIMIT:.0e}")
+    return w
+
+
+def _dense_probe(v_p: np.ndarray, v_q: np.ndarray) -> np.ndarray:
+    """(v_p v_q* + v_q v_p*)/2 as an n x n matrix."""
+    return herm_part(np.outer(v_p, v_q.conj()))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class PhaseProbe:
+    """The phase probe (v_p v_q* + v_q v_p*)/2 of distinct columns p and q of
+    v, held as frozen copies of its two vectors ``v_p`` and ``v_q``.
+
+    It is checked once, where it is made: the index rule of ``probe_state``
+    and the vector rule of ``ChannelOracle.expectation``. It is immutable, so
+    the oracle can key its stored evaluation on the object.
+    ``ChannelOracle.apply`` evaluates it in O(n^2) from its vectors; any
+    other reader gets its dense form through ``np.asarray``, which equals
+    ``probe_state(v, p, q)`` byte for byte.
+    """
+
+    v_p: np.ndarray
+    v_q: np.ndarray
+
+    def __init__(self, v, p: int, q: int):
+        v = square(v)
+        n = v.shape[0]
+        _check_probe_indices(p, q, n)
+        for name, k in (("v_p", p), ("v_q", q)):
+            object.__setattr__(self, name, _freeze(_checked_vector(v[:, k], n, "probe vector")))
+
+    def __array__(self, dtype=None, copy=None):
+        dense = _dense_probe(self.v_p, self.v_q)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 def _weight(w) -> complex:
     """An entry weight as a Python complex. The conversion is exact for every
     Python and numpy number, so a float32 or complex64 weight widens to
@@ -116,10 +182,13 @@ class ChannelOracle:
     counter by exactly one per successful call. The oracle is for use from
     one thread.
 
-    ``apply`` keeps its latest evaluation of a frozen input (see the module
-    docstring): a repeat query on that same object gets the stored frozen
-    output itself, in O(1). Any other input is evaluated afresh. Counting does
-    not depend on it: each ``expectation`` calls ``apply`` and adds exactly one.
+    ``apply`` keeps its latest evaluation of a frozen input or a
+    ``PhaseProbe`` (see the module docstring): a repeat query on that same
+    object gets the stored frozen output itself, in O(1). Any other input is
+    evaluated afresh. Counting does not depend on it: each ``expectation``
+    calls ``apply`` and adds exactly one. A subclass that overrides ``apply``
+    or ``expectation`` receives phase extraction's ``PhaseProbe`` as its
+    state; ``np.asarray`` gives its dense form.
     """
 
     def __init__(self, hidden_u):
@@ -141,13 +210,31 @@ class ChannelOracle:
 
     def apply(self, state) -> np.ndarray:
         """Evaluate Phi(state) = U state U* (not a measurement): a fresh array, or
-        for a frozen state the oracle's frozen output. A non-finite state raises
-        before it is evaluated or stored."""
+        for a frozen state or a ``PhaseProbe`` the oracle's frozen output. A
+        non-finite state raises before it is evaluated or stored.
+
+        A ``PhaseProbe`` is evaluated from its vectors in O(n^2): two matvecs
+        x = U v_p and y = U v_q, then (x y* + y x*)/2 as one product of two
+        n x 2 matrices. No n x n probe is formed."""
         last = self._last
-        # only a frozen, checked input of the channel's shape is stored, so
-        # the same object is unchanged and needs no coercion
+        # only a frozen or PhaseProbe input, checked and of the channel's
+        # shape, is stored, so the same object is unchanged and needs no
+        # coercion
         if last is not None and state is last[0]:
             return last[1]
+        if isinstance(state, PhaseProbe):
+            n = state.v_p.shape[0]
+            if n != self.dim:
+                raise ValueError(f"state is {(n, n)}, channel dimension is {self.dim}")
+            pair = np.empty((n, 2), dtype=np.complex128)
+            pair[:, 0] = self._u @ state.v_p
+            pair[:, 1] = self._u @ state.v_q
+            # P Q* with P = [x y] and Q = [y x]: x y* + y x*, halved exactly
+            swapped = np.ascontiguousarray(pair[:, ::-1])
+            out = pair @ swapped.conj().T
+            out = _freeze(np.multiply(0.5, out, out=out))
+            self._last = (state, out)
+            return out
         s = square(state)
         if s.shape != self._u.shape:
             raise ValueError(f"state is {s.shape}, channel dimension is {self.dim}")
@@ -173,8 +260,12 @@ class ChannelOracle:
           non-numeric weight raises TypeError;
         - ``vector=w``, a length-n vector standing for the rank-1 projector
           w w*: the value is Re w* Phi(state) w, one O(n^2) product with no
-          n x n observable built. w must have finite entries.
+          n x n observable built. w must have finite entries with no real or
+          imaginary part beyond 1e150 in size, the same rule as a
+          ``PhaseProbe``'s vectors, so its squared norm cannot overflow.
 
+        The state is a matrix or a ``PhaseProbe``, which phase extraction
+        sends for both of its reads and the oracle evaluates in O(n^2).
         A non-finite state or expectation value raises. A call that raises
         is not counted; a bad ``entries`` or ``vector`` raises before the
         channel is evaluated.
@@ -198,10 +289,7 @@ class ChannelOracle:
         elif vector is None:
             raise ValueError(_ONE_FORM)
         else:
-            w = np.asarray(vector, dtype=np.complex128)
-            if w.shape != (self.dim,):
-                raise ValueError(f"vector is {w.shape}, channel dimension is {self.dim}")
-            _check_finite(w, "vector")
+            w = _checked_vector(vector, self.dim, "vector")
             out = self.apply(state)
             value = float(np.vdot(w, out @ w).real)
         if not math.isfinite(value):
@@ -246,13 +334,13 @@ def probe_state(v, p: int, q: int) -> np.ndarray:
 
     It is traceless with eigenvalues +-1/2 and n-2 zeros, so it is not a
     state; that is harmless because the simulated channel is linear on
-    Hermitian matrices.
+    Hermitian matrices. This is the dense definition; phase extraction sends
+    the same probe as a ``PhaseProbe``, whose dense form equals it byte for
+    byte.
     """
     v = square(v)
-    _check_indices((p, q), v.shape[0])
-    if p == q:
-        raise ValueError(f"probe indices must be distinct columns, got {(p, q)}")
-    return herm_part(np.outer(v[:, p], v[:, q].conj()))
+    _check_probe_indices(p, q, v.shape[0])
+    return _dense_probe(v[:, p], v[:, q])
 
 
 def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> complex:
@@ -261,18 +349,19 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> compl
     When u0 solves the single-pair problem for a state with eigenbasis V, the
     hidden unitary factors as U = u0 V diag(d) V*, so the channel maps
     v_p v_q* to d_p conj(d_q) (u0 v_p)(u0 v_q)*. Both queries measure the one
-    ``probe_state`` as a rank-1 read: projecting its channel output onto
+    probe of ``probe_state``, sent as a ``PhaseProbe`` of its two vectors, as
+    a rank-1 read: projecting its channel output onto
     w = u0 (v_p + v_q)/sqrt(2) reads Re(alpha)/2, and onto
     w' = u0 (v_p + i v_q)/sqrt(2) reads -Im(alpha)/2. Each read is
-    Re w* Phi(probe) w, so no n x n projector is built. The second query
-    repeats the first one's input, so the oracle evaluates the channel once
-    per call.
+    Re w* Phi(probe) w, so no n x n probe or projector is built. The second
+    query repeats the first one's input, so the oracle evaluates the channel
+    once per call, in O(n^2).
     """
     u0 = square(u0)
     v = square(v)
     if u0.shape != v.shape:
         raise ValueError("u0 and v must have the same shape")
-    probe = _freeze(probe_state(v, p, q))
+    probe = PhaseProbe(v, p, q)
     w = u0 @ (v[:, p] + v[:, q]) / np.sqrt(2.0)
     w_i = u0 @ (v[:, p] + 1j * v[:, q]) / np.sqrt(2.0)
     m_re = oracle.expectation(probe, vector=w)

@@ -22,6 +22,7 @@ from polarchan.tomo import (
     ALPHA_UNIT_TOL,
     ChannelOracle,
     DegenerateStateError,
+    PhaseProbe,
     ReconstructionError,
     extract_phase_product,
     probe_state,
@@ -126,9 +127,10 @@ class NoisyOracle(ChannelOracle):
 def two_probe_phase_product(oracle, u0, v, p, q):
     """Reference route for extract_phase_product: a second probe with the
     antisymmetric cross term (v_p v_q* - v_q v_p*)/2i, read through the same
-    projector w = u0 (v_p + v_q)/sqrt(2), gives Im(alpha)/2."""
+    projector w = u0 (v_p + v_q)/sqrt(2), gives Im(alpha)/2. The symmetric
+    probe goes in factored, as extract_phase_product sends it."""
     cross = np.outer(v[:, p], v[:, q].conj())
-    plus = 0.5 * (cross + cross.conj().T)
+    plus = PhaseProbe(v, p, q)
     minus = (cross - cross.conj().T) / 2j
     w = (u0 @ (v[:, p] + v[:, q])) / np.sqrt(2.0)
     m_plus = oracle.expectation(plus, vector=w)
@@ -507,6 +509,34 @@ def test_non_finite_query_rejected_before_counting(call, match):
 
 
 @pytest.mark.parametrize(
+    "vector, match",
+    [
+        (1e150 * np.ones(3), None),
+        (-1e150j * np.ones(3), None),
+        (1e160 * np.ones(3), r"^vector is too large: max entry 1\.0e\+160 exceeds 1e\+150$"),
+        (np.array([1.0, -1e151j, 0.0]), r"^vector is too large: max entry 1\.0e\+151 exceeds 1e\+150$"),
+    ],
+    ids=["1e150", "-1e150j", "1e160", "1e151j-entry"],
+)
+@pytest.mark.parametrize("form", ["matrix", "probe"])
+def test_oversized_vector_rejected_before_counting(vector, match, form):
+    # the read of a 1e160 vector overflowed to a NaN value; the vector rule
+    # now refuses it by its scale before any product
+    oracle = ChannelOracle(random_unitary(3, 56))
+    v = hermitian_eig(random_density(3, 57)).eigenvectors
+    state = random_density(3, 58) if form == "matrix" else PhaseProbe(v, 0, 2)
+    if match is None:
+        value = oracle.expectation(state, vector=vector)
+        expected = np.vdot(vector, oracle.apply(state) @ vector).real
+        assert np.isfinite(value) and value == pytest.approx(expected, rel=1e-12)
+        assert oracle.queries == 1
+    else:
+        with pytest.raises(ValueError, match=match):
+            oracle.expectation(state, vector=vector)
+        assert oracle.queries == 0
+
+
+@pytest.mark.parametrize(
     "call, match",
     [
         (lambda o: o.apply(np.eye(4)), r"state is \(4, 4\), channel dimension is 3"),
@@ -614,7 +644,12 @@ class TestStateTomography:
         seen.clear()
         v = hermitian_eig(rho).eigenvectors
         assert extract_phase_product(oracle, hidden, v, 0, 1) == pytest.approx(1.0, abs=1e-12)
-        assert len(seen) == 2 and seen[0] is seen[1] and _is_frozen(seen[0])
+        # the phase sends one immutable probe object that holds frozen vectors
+        probe = seen[0]
+        assert len(seen) == 2 and seen[1] is probe and isinstance(probe, PhaseProbe)
+        assert _is_frozen(probe.v_p) and _is_frozen(probe.v_q)
+        with pytest.raises(AttributeError):
+            probe.v_p = probe.v_q
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_observables_sent(self, n):
@@ -669,6 +704,76 @@ class TestProbeStates:
         for bad in [(0, 0), (3, 3), (0, 4), (4, 1), (-1, 2), (1, -4), (True, 2), (1.0, 2)]:
             with pytest.raises(ValueError):
                 probe_state(v, *bad)
+
+
+class TestPhaseProbe:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 64])
+    def test_factored_evaluation_matches_the_dense_probe(self, n):
+        u = random_unitary(n, 110 + n)
+        v = hermitian_eig(random_density(n, 111 + n)).eigenvectors
+        oracle = ChannelOracle(u)
+        for p, q in {(0, n - 1), (n - 1, 0), (1, 0), (n // 2, (n // 2 + 1) % n)}:
+            probe = PhaseProbe(v, p, q)
+            dense = probe_state(v, p, q)
+            assert np.asarray(probe).tobytes() == dense.tobytes()
+            factored = oracle.apply(probe)
+            expected = oracle.apply(dense)
+            assert frob_norm(factored - expected) <= 1e-15 * frob_norm(expected), (p, q)
+            assert _is_frozen(factored) and oracle.apply(probe) is factored
+            assert oracle.queries == 0
+
+    def test_vectors_are_frozen_copies(self):
+        v = hermitian_eig(random_density(4, 112)).eigenvectors
+        snapshot = v.copy()
+        probe = PhaseProbe(v, 2, 1)
+        assert probe.v_p.tobytes() == snapshot[:, 2].tobytes()
+        assert probe.v_q.tobytes() == snapshot[:, 1].tobytes()
+        assert _is_frozen(probe.v_p) and _is_frozen(probe.v_q)
+        v[:] = 0.0  # the caller's later writes do not reach the probe
+        assert np.asarray(probe).tobytes() == probe_state(snapshot, 2, 1).tobytes()
+        for name in ("v_p", "v_q", "other"):
+            with pytest.raises(AttributeError):
+                setattr(probe, name, snapshot[:, 0])
+        with pytest.raises(AttributeError):
+            del probe.v_p
+
+    @pytest.mark.parametrize("p, q", [(0, 0), (3, 3), (0, 4), (4, 1), (-1, 2), (1, -4), (True, 2),
+                                      (1, np.bool_(False)), (1.0, 2), ("0", 1)])
+    def test_shares_the_index_rule_of_probe_state(self, p, q):
+        v = np.eye(4)
+        messages = []
+        for make in (PhaseProbe, probe_state):
+            with pytest.raises(ValueError) as info:
+                make(v, p, q)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "v, match",
+        [
+            (_at_01(np.eye(3), np.nan), r"^probe vector has non-finite entries$"),
+            (_at_01(np.eye(3), complex(0.0, np.inf)), r"^probe vector has non-finite entries$"),
+            (_at_01(np.eye(3), 1e160), r"^probe vector is too large: max entry 1\.0e\+160 exceeds 1e\+150$"),
+        ],
+        ids=["nan", "inf-imag", "1e160"],
+    )
+    def test_bad_vectors_rejected_where_made(self, v, match):
+        with pytest.raises(ValueError, match=match):
+            PhaseProbe(v, 0, 1)
+        # a bad column the probe does not hold is not read
+        assert np.asarray(PhaseProbe(v, 0, 2)).tobytes() == probe_state(v, 0, 2).tobytes()
+
+    def test_wrong_length_rejected_before_counting(self):
+        oracle = ChannelOracle(random_unitary(3, 113))
+        probe = PhaseProbe(np.eye(4), 0, 1)
+        for call in (
+            lambda: oracle.apply(probe),
+            lambda: oracle.expectation(probe, entries=((0,), (1,), (1.0,))),
+            lambda: oracle.expectation(probe, vector=np.ones(3)),
+        ):
+            with pytest.raises(ValueError, match=r"^state is \(4, 4\), channel dimension is 3$"):
+                call()
+        assert oracle.queries == 0
 
 
 class TestExtractPhaseProduct:
@@ -774,6 +879,43 @@ class TestExtractPhaseProduct:
         oracle = ChannelOracle(np.eye(3))
         with pytest.raises(ValueError):
             extract_phase_product(oracle, np.eye(3), v, 1, 1)
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_two_queries_and_one_factored_evaluation_per_probe(self, n):
+        outputs = []
+
+        class OutputOracle(ChannelOracle):
+            def apply(self, state):
+                out = super().apply(state)
+                if not outputs or out is not outputs[-1]:
+                    outputs.append(out)
+                return out
+
+        u0 = random_unitary(n, 114 + n)
+        v = hermitian_eig(random_density(n, 115 + n)).eigenvectors
+        oracle = OutputOracle(u0)
+        for q in range(1, n):
+            assert extract_phase_product(oracle, u0, v, 0, q) == pytest.approx(1.0, abs=1e-12)
+            assert oracle.queries == 2 * q and len(outputs) == q
+        assert all(_is_frozen(out) for out in outputs)
+
+    @pytest.mark.parametrize(
+        "u0, v, p, q, match",
+        [
+            # out-of-range, negative, bool and float indices: test_bad_indices_rejected
+            (np.eye(3), np.eye(3), 1, 1, r"^probe indices must be distinct columns, got \(1, 1\)$"),
+            (np.eye(3), _at_01(np.eye(3), np.nan), 0, 1, r"^probe vector has non-finite entries$"),
+            (np.eye(3), _at_01(np.eye(3), -np.inf), 1, 0, r"^probe vector has non-finite entries$"),
+            (np.eye(3), _at_01(np.eye(3), 1e160), 0, 1, r"^probe vector is too large"),
+            (np.eye(4), np.eye(4), 0, 1, r"^vector is \(4,\), channel dimension is 3$"),
+        ],
+        ids=["equal", "nan", "-inf", "1e160", "wrong-length"],
+    )
+    def test_bad_probe_rejected_before_any_query(self, u0, v, p, q, match):
+        oracle = ChannelOracle(np.eye(3))
+        with pytest.raises(ValueError, match=match):
+            extract_phase_product(oracle, u0, v, p, q)
+        assert oracle.queries == 0
 
 
 class TestReconstruct:
