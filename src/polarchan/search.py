@@ -66,15 +66,20 @@ _STALL_TOL = 1e-13
 _STATE_SCALE_LIMIT = 1e75
 
 
-def _validated_state(m, label: str) -> np.ndarray:
-    """square(m) under the one state rule: finite, Hermitian, positive
-    semidefinite within 1e-10, and n * entry scale within _STATE_SCALE_LIMIT."""
-    m = square(m)
-    bound = m.shape[0] * _check_hermitian(m, label)
+def _check_state_scale(bound: float, label: str) -> None:
+    """The state rule's scale half: raise ValueError unless bound, a state's
+    n * entry scale, is within _STATE_SCALE_LIMIT."""
     if bound > _STATE_SCALE_LIMIT:
         raise ValueError(
             f"{label} is too large: n * max entry = {bound:.1e} exceeds {_STATE_SCALE_LIMIT:.0e}"
         )
+
+
+def _validated_state(m, label: str) -> np.ndarray:
+    """square(m) under the one state rule: finite, Hermitian, positive
+    semidefinite within 1e-10, and n * entry scale within _STATE_SCALE_LIMIT."""
+    m = square(m)
+    _check_state_scale(m.shape[0] * _check_hermitian(m, label), label)
     evals = np.linalg.eigvalsh(herm_part(m))
     if evals[0] < -1e-10 * np.abs(evals).max():
         cause = f"its smallest eigenvalue is {evals[0] / np.abs(evals).max():.3g} times its largest"

@@ -42,6 +42,7 @@ from .matkit import (
     _check_finite,
     _check_unitary,
     _child_seeds,
+    _entry_scale,
     _freeze,
     _is_frozen,
     _relative_eigengap,
@@ -51,7 +52,8 @@ from .matkit import (
     random_density,
     square,
 )
-from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult, _validated_state, solve
+from .search import STATUS_MAX_ITERS, ChannelInstance, SolverConfig, SolveResult, solve
+from .search import _check_state_scale, _validated_state
 
 __all__ = [
     "ChannelOracle",
@@ -76,10 +78,11 @@ CHECK_SEED = 0
 # expectation's message when it is given other than one observable form.
 _ONE_FORM = "give exactly one of entries and vector"
 # Largest accepted entry scale L of a vector (an observable's or a probe's).
-# Its squared norm is at most 2 n L^2, finite for every n below ~9e7. That
-# bounds a probe's output entries, and a read Re w* Phi(s) w up to the
-# state's norm, so neither overflows at any n the oracle can hold.
-_VECTOR_SCALE_LIMIT = 1e150
+# A read Re w* Phi(s) w is at most ||w||^2 ||Phi(s)||_F <= 2 n L^2 ||Phi(s)||_F.
+# ||Phi(s)||_F is at most sqrt(2) 1e75 for a matrix state under apply's scale
+# rule (search._STATE_SCALE_LIMIT) and ||v_p|| ||v_q|| <= 2 n L^2 for a
+# PhaseProbe, so a read is at most 4 n^2 L^4: 4e296 at n = 1e8, 1e11 below DBL_MAX.
+_VECTOR_SCALE_LIMIT = 1e70
 
 
 class DegenerateStateError(ValueError):
@@ -93,7 +96,8 @@ class ReconstructionError(RuntimeError):
 
 def _check_indices(indices, n: int) -> None:
     """Raise ValueError naming the first index that is not an integer (bools
-    excluded: numpy reads them as masks) in range(n)."""
+    excluded: numpy reads them as masks) in range(n), or uniterable indices."""
+    k = indices  # still indices after the loop when they cannot be iterated
     try:
         for k in indices:
             # plain ints in range pass at once; anything else meets the full rule
@@ -104,15 +108,9 @@ def _check_indices(indices, n: int) -> None:
             return
     except TypeError:
         pass
+    if k is indices:
+        raise ValueError(f"indices {indices!r} cannot be iterated")
     raise ValueError(f"index {k!r} is not an integer in range({n})")
-
-
-def _check_probe_indices(p, q, n: int) -> None:
-    """The phase probe's index rule: p and q are distinct integers (not
-    bools) in range(n)."""
-    _check_indices((p, q), n)
-    if p == q:
-        raise ValueError(f"probe indices must be distinct columns, got {(p, q)}")
 
 
 def _checked_vector(w, n: int, label: str) -> np.ndarray:
@@ -131,22 +129,17 @@ def _checked_vector(w, n: int, label: str) -> np.ndarray:
     return w
 
 
-def _dense_probe(v_p: np.ndarray, v_q: np.ndarray) -> np.ndarray:
-    """(v_p v_q* + v_q v_p*)/2 as an n x n matrix."""
-    return herm_part(np.outer(v_p, v_q.conj()))
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class PhaseProbe:
     """The phase probe (v_p v_q* + v_q v_p*)/2 of distinct columns p and q of
-    v, held as frozen copies of its two vectors ``v_p`` and ``v_q``.
+    v, held as frozen copies of its two vectors ``v_p`` and ``v_q``: the one
+    definition of the probe, whose dense form ``probe_state`` returns.
 
-    It is checked once, where it is made: the index rule of ``probe_state``
-    and the vector rule of ``ChannelOracle.expectation``. It is immutable, so
-    the oracle can key its stored evaluation on the object.
-    ``ChannelOracle.apply`` evaluates it in O(n^2) from its vectors; any
-    other reader gets its dense form through ``np.asarray``, which equals
-    ``probe_state(v, p, q)`` byte for byte.
+    It is checked once, where it is made: p and q are distinct integers (not
+    bools) in range(n), and its vectors meet ``expectation``'s vector rule.
+    It is immutable, so the oracle can key its stored evaluation on the
+    object. ``ChannelOracle.apply`` evaluates it in O(n^2) from its vectors;
+    any other reader gets its dense form through ``np.asarray``.
     """
 
     v_p: np.ndarray
@@ -155,12 +148,14 @@ class PhaseProbe:
     def __init__(self, v, p: int, q: int):
         v = square(v)
         n = v.shape[0]
-        _check_probe_indices(p, q, n)
+        _check_indices((p, q), n)
+        if p == q:
+            raise ValueError(f"probe indices must be distinct columns, got {(p, q)}")
         for name, k in (("v_p", p), ("v_q", q)):
             object.__setattr__(self, name, _freeze(_checked_vector(v[:, k], n, "probe vector")))
 
     def __array__(self, dtype=None, copy=None):
-        dense = _dense_probe(self.v_p, self.v_q)
+        dense = herm_part(np.outer(self.v_p, self.v_q.conj()))
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -211,7 +206,8 @@ class ChannelOracle:
     def apply(self, state) -> np.ndarray:
         """Evaluate Phi(state) = U state U* (not a measurement): a fresh array, or
         for a frozen state or a ``PhaseProbe`` the oracle's frozen output. A
-        non-finite state raises before it is evaluated or stored.
+        non-finite matrix state, or one with n * max entry beyond 1e75 (the
+        state rule's scale), raises before it is evaluated or stored.
 
         A ``PhaseProbe`` is evaluated from its vectors in O(n^2): two matvecs
         x = U v_p and y = U v_q, then (x y* + y x*)/2 as one product of two
@@ -239,6 +235,7 @@ class ChannelOracle:
         if s.shape != self._u.shape:
             raise ValueError(f"state is {s.shape}, channel dimension is {self.dim}")
         _check_finite(s, "state")
+        _check_state_scale(s.shape[0] * _entry_scale(s), "state")
         out = self._u @ s @ self._uh
         if _is_frozen(s):
             out = _freeze(out)
@@ -261,14 +258,14 @@ class ChannelOracle:
         - ``vector=w``, a length-n vector standing for the rank-1 projector
           w w*: the value is Re w* Phi(state) w, one O(n^2) product with no
           n x n observable built. w must have finite entries with no real or
-          imaginary part beyond 1e150 in size, the same rule as a
-          ``PhaseProbe``'s vectors, so its squared norm cannot overflow.
+          imaginary part beyond 1e70, the rule of a ``PhaseProbe``'s vectors;
+          with ``apply``'s scale rule, no read can overflow.
 
         The state is a matrix or a ``PhaseProbe``, which phase extraction
-        sends for both of its reads and the oracle evaluates in O(n^2).
-        A non-finite state or expectation value raises. A call that raises
-        is not counted; a bad ``entries`` or ``vector`` raises before the
-        channel is evaluated.
+        sends for both of its reads and the oracle evaluates in O(n^2). A
+        state ``apply`` refuses or a non-finite expectation value raises. A
+        call that raises is not counted; a bad ``entries`` or ``vector``
+        raises before the channel is evaluated.
         """
         if entries is not None:
             # tomography's path: the form check costs it one identity test
@@ -327,20 +324,16 @@ def state_tomography(oracle: ChannelOracle, input_state) -> np.ndarray:
 
 
 def probe_state(v, p: int, q: int) -> np.ndarray:
-    """The phase probe for distinct columns p and q of v: the Hermitian part
-    of their cross term,
+    """The dense form of ``PhaseProbe(v, p, q)``, under its checks: the
+    Hermitian part of the cross term of distinct columns p and q of v,
 
         (v_p v_q* + v_q v_p*)/2.
 
     It is traceless with eigenvalues +-1/2 and n-2 zeros, so it is not a
     state; that is harmless because the simulated channel is linear on
-    Hermitian matrices. This is the dense definition; phase extraction sends
-    the same probe as a ``PhaseProbe``, whose dense form equals it byte for
-    byte.
+    Hermitian matrices. Phase extraction sends the ``PhaseProbe`` itself.
     """
-    v = square(v)
-    _check_probe_indices(p, q, v.shape[0])
-    return _dense_probe(v[:, p], v[:, q])
+    return np.asarray(PhaseProbe(v, p, q))
 
 
 def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> complex:
@@ -348,9 +341,9 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> compl
 
     When u0 solves the single-pair problem for a state with eigenbasis V, the
     hidden unitary factors as U = u0 V diag(d) V*, so the channel maps
-    v_p v_q* to d_p conj(d_q) (u0 v_p)(u0 v_q)*. Both queries measure the one
-    probe of ``probe_state``, sent as a ``PhaseProbe`` of its two vectors, as
-    a rank-1 read: projecting its channel output onto
+    v_p v_q* to d_p conj(d_q) (u0 v_p)(u0 v_q)*. Both queries measure one
+    ``PhaseProbe(v, p, q)`` as a rank-1 read, with the read vectors formed
+    from the probe's checked v_p and v_q: projecting its channel output onto
     w = u0 (v_p + v_q)/sqrt(2) reads Re(alpha)/2, and onto
     w' = u0 (v_p + i v_q)/sqrt(2) reads -Im(alpha)/2. Each read is
     Re w* Phi(probe) w, so no n x n probe or projector is built. The second
@@ -358,12 +351,11 @@ def extract_phase_product(oracle: ChannelOracle, u0, v, p: int, q: int) -> compl
     once per call, in O(n^2).
     """
     u0 = square(u0)
-    v = square(v)
-    if u0.shape != v.shape:
-        raise ValueError("u0 and v must have the same shape")
     probe = PhaseProbe(v, p, q)
-    w = u0 @ (v[:, p] + v[:, q]) / np.sqrt(2.0)
-    w_i = u0 @ (v[:, p] + 1j * v[:, q]) / np.sqrt(2.0)
+    if u0.shape[0] != probe.v_p.shape[0]:
+        raise ValueError("u0 and v must have the same shape")
+    w = u0 @ (probe.v_p + probe.v_q) / np.sqrt(2.0)
+    w_i = u0 @ (probe.v_p + 1j * probe.v_q) / np.sqrt(2.0)
     m_re = oracle.expectation(probe, vector=w)
     m_im = oracle.expectation(probe, vector=w_i)
     alpha = complex(2.0 * (m_re - 1j * m_im))

@@ -69,6 +69,13 @@ def all_entries(observable):
     return tuple(rows.ravel()), tuple(cols.ravel()), tuple(np.ravel(observable))
 
 
+class Sized:
+    """Has a length but cannot be iterated."""
+
+    def __len__(self):
+        return 1
+
+
 def _rand_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
@@ -274,10 +281,12 @@ class TestChannelOracle:
             {"entries": ((1.0,), (1,), (1.0,))},
             {"entries": ((np.True_, 0), (2, 1), (0.5, 0.5))},
             {"entries": ((2, 1), (0, np.True_), (0.5, 0.5))},
+            {"entries": (Sized(), (0,), (1.0,))},  # has a length, cannot be iterated
         ],
         ids=["negative-row", "negative-col", "col-too-large", "row-too-large",
              "short-cols", "short-weights", "both-forms", "neither-form",
-             "bool-row", "bool-col", "float-row", "numpy-bool-row", "numpy-bool-col"],
+             "bool-row", "bool-col", "float-row", "numpy-bool-row", "numpy-bool-col",
+             "sized-rows"],
     )
     def test_bad_entries_rejected_before_counting(self, kwargs):
         oracle = ChannelOracle(random_unitary(3, 34))
@@ -455,6 +464,7 @@ def _at_01(m, value):
 _BAD_STATE = r"^state has non-finite entries$"
 _BAD_VECTOR = r"^vector has non-finite entries$"
 _NAN_VALUE = r"^expectation value is nan, not finite$"
+_HUGE_STATE = r"^state is too large: n \* max entry = 1\.6e\+300 exceeds 1e\+75$"
 
 
 @pytest.mark.parametrize(
@@ -486,10 +496,20 @@ _NAN_VALUE = r"^expectation value is nan, not finite$"
         (lambda o: o.apply(_at_01(random_density(3, 52), np.nan)), _BAD_STATE),
         (lambda o: o.apply(_at_01(random_density(3, 52), np.inf)), _BAD_STATE),
         (lambda o: o.apply(_at_01(random_density(3, 52), -np.inf)), _BAD_STATE),
+        # finite queries whose products overflowed: a state over the state
+        # rule's scale, and vectors over the vector rule's
+        (lambda o: o.expectation(1e300 * random_density(3, 0), vector=1e10 * np.ones(3)), _HUGE_STATE),
+        (lambda o: o.expectation(1e300 * random_density(3, 0), entries=((0,), (0,), (1e10,))),
+         _HUGE_STATE),
+        (lambda o: o.expectation(PhaseProbe(1e150 * np.eye(3), 0, 1), vector=1e150 * np.ones(3)),
+         r"^probe vector is too large: max entry 1\.0e\+150 exceeds 1e\+70$"),
+        (lambda o: o.expectation(1e70 * random_density(3, 0), vector=1e150 * np.ones(3)),
+         r"^vector is too large: max entry 1\.0e\+150 exceeds 1e\+70$"),
     ],
     ids=["nan-state", "nan-state-entries", "nan-weight", "nan-state-vector",
          "nan-vector", "inf-vector", "-inf-vector", "nan-state-apply", "inf-state-apply",
-         "-inf-state-apply"],
+         "-inf-state-apply", "1e300-state-vector", "1e300-state-entries", "1e150-probe",
+         "1e150-vector"],
 )
 def test_non_finite_query_rejected_before_counting(call, match):
     u = random_unitary(3, 54)
@@ -511,17 +531,22 @@ def test_non_finite_query_rejected_before_counting(call, match):
 @pytest.mark.parametrize(
     "vector, match",
     [
-        (1e150 * np.ones(3), None),
-        (-1e150j * np.ones(3), None),
-        (1e160 * np.ones(3), r"^vector is too large: max entry 1\.0e\+160 exceeds 1e\+150$"),
-        (np.array([1.0, -1e151j, 0.0]), r"^vector is too large: max entry 1\.0e\+151 exceeds 1e\+150$"),
+        (1e70 * np.ones(3), None),
+        (-1e70j * np.ones(3), None),
+        (1e150 * np.ones(3), r"^vector is too large: max entry 1\.0e\+150 exceeds 1e\+70$"),
+        (-1e150j * np.ones(3), r"^vector is too large: max entry 1\.0e\+150 exceeds 1e\+70$"),
+        (1e160 * np.ones(3), r"^vector is too large: max entry 1\.0e\+160 exceeds 1e\+70$"),
+        (np.array([1.0, -1e71j, 0.0]), r"^vector is too large: max entry 1\.0e\+71 exceeds 1e\+70$"),
+        (np.array([1.0, -1e151j, 0.0]), r"^vector is too large: max entry 1\.0e\+151 exceeds 1e\+70$"),
     ],
-    ids=["1e150", "-1e150j", "1e160", "1e151j-entry"],
+    ids=["1e70", "-1e70j", "1e150", "-1e150j", "1e160", "1e71j-entry", "1e151j-entry"],
 )
 @pytest.mark.parametrize("form", ["matrix", "probe"])
 def test_oversized_vector_rejected_before_counting(vector, match, form):
     # the read of a 1e160 vector overflowed to a NaN value; the vector rule
-    # now refuses it by its scale before any product
+    # refuses it by its scale before any product. It refuses 1e150 too: such
+    # a vector overflows reads of larger states and probes (the 1e150 rows
+    # of test_non_finite_query_rejected_before_counting)
     oracle = ChannelOracle(random_unitary(3, 56))
     v = hermitian_eig(random_density(3, 57)).eigenvectors
     state = random_density(3, 58) if form == "matrix" else PhaseProbe(v, 0, 2)
@@ -534,6 +559,21 @@ def test_oversized_vector_rejected_before_counting(vector, match, form):
         with pytest.raises(ValueError, match=match):
             oracle.expectation(state, vector=vector)
         assert oracle.queries == 0
+
+
+@pytest.mark.parametrize("scale", [0.25e75, 0.3e75, 0.5e75, 1e76])
+def test_apply_shares_the_scale_half_of_the_state_rule(scale):
+    state = scale * np.diag([1.0, 0.5, 0.25])
+    oracle = ChannelOracle(random_unitary(3, 3))
+    messages = []
+    for check in (lambda: ChannelInstance([(state, state)]), lambda: oracle.apply(state)):
+        try:
+            check()
+            messages.append(None)
+        except ValueError as exc:
+            messages.append(str(exc).replace("rho[0]", "state"))
+    assert messages[0] == messages[1]
+    assert (messages[0] is None) == (3 * scale <= 1e75)
 
 
 @pytest.mark.parametrize(
@@ -753,13 +793,17 @@ class TestPhaseProbe:
         [
             (_at_01(np.eye(3), np.nan), r"^probe vector has non-finite entries$"),
             (_at_01(np.eye(3), complex(0.0, np.inf)), r"^probe vector has non-finite entries$"),
-            (_at_01(np.eye(3), 1e160), r"^probe vector is too large: max entry 1\.0e\+160 exceeds 1e\+150$"),
+            (_at_01(np.eye(3), 1e160), r"^probe vector is too large: max entry 1\.0e\+160 exceeds 1e\+70$"),
         ],
         ids=["nan", "inf-imag", "1e160"],
     )
     def test_bad_vectors_rejected_where_made(self, v, match):
-        with pytest.raises(ValueError, match=match):
-            PhaseProbe(v, 0, 1)
+        messages = []
+        for make in (PhaseProbe, probe_state):
+            with pytest.raises(ValueError, match=match) as info:
+                make(v, 0, 1)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
         # a bad column the probe does not hold is not read
         assert np.asarray(PhaseProbe(v, 0, 2)).tobytes() == probe_state(v, 0, 2).tobytes()
 
