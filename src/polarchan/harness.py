@@ -248,8 +248,10 @@ def _ex2_run(k: int, base_seed: int):
     """(probe seed, report, normalized diff) of the first of 64 seeded probe
     states whose eigengap clears EX2_GAP_FLOOR and whose reconstruction succeeds.
     A probe that clears the floor can still hit the iteration cap: two close
-    eigenvalues slow the identity-start solve's linear rate past the cap, or
-    hold it on the plateau by the saddle that swaps them."""
+    eigenvalues put the identity-start solve's linear contraction near 1, so
+    it needs more updates than the cap allows. The landscape is not the cause:
+    the critical point that swaps two eigenvalues is a strict saddle (index 2),
+    and the sorted matching is the one local minimum."""
     hidden = build_example2_circuit()
     last_exc = None
     for attempt in range(64):

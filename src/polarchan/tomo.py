@@ -96,20 +96,22 @@ class ReconstructionError(RuntimeError):
 
 def _check_indices(indices, n: int) -> None:
     """Raise ValueError naming the first index that is not an integer (bools
-    excluded: numpy reads them as masks) in range(n), or uniterable indices."""
-    k = indices  # still indices after the loop when they cannot be iterated
+    excluded: numpy reads them as masks) in range(n), or indices that cannot
+    be iterated to their end."""
     try:
         for k in indices:
             # plain ints in range pass at once; anything else meets the full rule
             if type(k) is not int or not 0 <= k < n:
-                if isinstance(k, (bool, np.bool_)) or not 0 <= operator.index(k) < n:
+                try:
+                    if isinstance(k, (bool, np.bool_)) or not 0 <= operator.index(k) < n:
+                        break
+                except TypeError:
                     break
         else:
             return
     except TypeError:
-        pass
-    if k is indices:
-        raise ValueError(f"indices {indices!r} cannot be iterated")
+        # only the iteration itself raises here: operator.index is caught above
+        raise ValueError(f"indices {indices!r} cannot be iterated") from None
     raise ValueError(f"index {k!r} is not an integer in range({n})")
 
 

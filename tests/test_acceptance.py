@@ -3,6 +3,7 @@ line, then second-order tests of the solver's answers. Run with
 ``pytest tests/test_acceptance.py -s`` to see the lines live.
 """
 
+import itertools
 import json
 import time
 
@@ -386,6 +387,43 @@ def test_single_pair_hessian_spectrum_closed_form():
         "exact single pair: n null eigenvalues, smallest nonzero = (min eigengap)^2, n in {4,8,12}",
         ok and worst < 1e-8,
         f"worst relative error of the smallest nonzero eigenvalue {worst:.3e}",
+    )
+
+
+def test_single_pair_critical_points_are_the_permuted_matchings():
+    # Brockett's cost: the critical points of one exact pair are the tori
+    # U = W Pi D V*, one per permutation Pi, with W and V the eigenbases of sigma
+    # and rho. With a = l o pi, the Hessian has n zeros and (a_j - a_k)(l_j - l_k)
+    # twice per j < k, so its index is 2 x inversions(Pi): the identity matching
+    # is the only local minimum, and each other critical point a strict saddle
+    worst_res = worst_obj = worst_spec = 0.0
+    index_ok = True
+    points = 0
+    for n in (3, 4, 5):
+        hidden, inst = exact_instance(n, 800 + n)
+        lam, v = np.linalg.eigh(inst.pairs[0][0])
+        w = hidden @ v
+        rng = np.random.default_rng(800 + n)
+        j, k = np.triu_indices(n, 1)
+        for perm in map(list, itertools.permutations(range(n))):
+            d = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+            u = w @ np.eye(n)[perm] @ np.diag(d) @ v.conj().T
+            a = lam[perm]
+            pairs_jk = (a[j] - a[k]) * (lam[j] - lam[k])
+            expected = np.sort(np.concatenate([np.zeros(n), pairs_jk, pairs_jk]))
+            spectrum = np.linalg.eigvalsh(hessian(u, inst.pairs))
+            scale = np.abs(spectrum).max()
+            inversions = sum(perm[x] > perm[y] for x, y in zip(j, k))
+            worst_res = max(worst_res, residual(u, inst.pairs))
+            worst_obj = max(worst_obj, abs(objective(u, inst.pairs[0]) - 0.5 * np.sum((lam - a) ** 2)))
+            worst_spec = max(worst_spec, np.abs(spectrum - expected).max() / scale)
+            index_ok &= np.count_nonzero(spectrum < -1e-10 * scale) == 2 * inversions
+            points += 1
+    second_order(
+        "exact single pair: the n! tori W Pi D V* are critical, with index 2 x inversions(Pi), n in {3,4,5}",
+        points == 150 and worst_res <= 1e-13 and worst_obj <= 1e-14 and worst_spec <= 1e-12 and index_ok,
+        f"{points} critical points; worst residual {worst_res:.1e}, objective error {worst_obj:.1e}, "
+        f"spectrum error {worst_spec:.1e} of the largest",
     )
 
 

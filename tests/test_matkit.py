@@ -265,6 +265,39 @@ class TestRandomDensity:
             make(n, 1)
 
 
+# seeded generator values at n=2, as values to 1e-12 rather than bytes, so the
+# pin holds across BLAS builds and still catches a changed draw (a conjugated
+# Gaussian, say)
+GENERATOR_VALUES = [
+    (random_unitary, 0, [[0.09858804141439473 - 0.6251580036918435j, -0.3276162284689158 + 0.7015165538701884j],
+                         [0.32528437150406964 + 0.7026008441251009j, 0.09651106862626121 + 0.6254820102309214j]]),
+    (random_unitary, 7, [[-0.2756750284457515 - 0.8459680167760958j, 0.2437139126432967 - 0.38593383120354835j],
+                         [-0.16936718956303815 - 0.42385864198205436j, -0.42510412959583865 + 0.7816297625584707j]]),
+    (random_density, 0, [[0.13019027901337707, -0.08336235601782291 - 0.09908224546565018j],
+                         [-0.08336235601782291 + 0.09908224546565018j, 0.869809720986623]]),
+    (random_density, 7, [[0.3241825048256703, -0.4108844824784207 + 0.1537781923892295j],
+                         [-0.4108844824784207 - 0.1537781923892295j, 0.6758174951743298]]),
+]
+
+
+@pytest.mark.parametrize(
+    "make, seed, expected", GENERATOR_VALUES, ids=[f"{m.__name__}-{s}" for m, s, _ in GENERATOR_VALUES]
+)
+def test_seeded_generator_values(make, seed, expected):
+    assert_allclose(make(2, seed), np.array(expected), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("entry, unitary", [(1 + 5e-11, True), (1 + 5e-10, False)])
+def test_unitary_entry_bound_is_1e10(entry, unitary):
+    # exact=False leaves the entry bound as the whole test
+    u = np.array([[entry]], dtype=complex)
+    if unitary:
+        assert matkit._check_unitary(u, "u", exact=False) is u
+    else:
+        with pytest.raises(ValueError, match=r"^u is not unitary within 1e-10$"):
+            matkit._check_unitary(u, "u", exact=False)
+
+
 def test_square_rejects_nonsquare():
     with pytest.raises(ValueError):
         matkit.square(np.ones((2, 3)))

@@ -425,6 +425,16 @@ class TestSolve:
         assert len(res.trace) == 21
         assert res.singular_steps == 20
 
+    @pytest.mark.parametrize("ratio, singular", [(0.9e-14, 1), (1.1e-14, 0)])
+    def test_singular_step_counted_at_the_relative_threshold(self, ratio, singular):
+        # at the identity start the gradient sum is 2 sigma rho = diag(2, 2 ratio),
+        # whose singular-value ratio sits either side of _SINGULAR_RTOL (1e-14);
+        # the update is the identity again, so the solve stalls after it
+        rho = np.diag([1.0, ratio]).astype(complex)
+        res = solve(ChannelInstance([(rho, np.eye(2, dtype=complex))]))
+        assert res.status == STATUS_CONVERGED_STALL and len(res.trace) == 2
+        assert res.singular_steps == singular
+
     def test_positive_definite_instance_has_no_singular_steps(self):
         _, inst = exact_instance(6, 19)
         res = solve(inst, SolverConfig(max_iters=200))
@@ -519,6 +529,11 @@ class TestSolverConfig:
                 SolverConfig(max_iters=bad)
         cfg = SolverConfig(max_iters=np.int64(3))
         assert len(solve(exact_instance(3, 1)[1], cfg).trace) <= 4
+
+    def test_one_iteration_runs_exactly_one_update(self):
+        res = solve(exact_instance(3, 1)[1], SolverConfig(max_iters=1))
+        assert res.status == STATUS_MAX_ITERS
+        assert len(res.trace) == 2 and res.trace.step_norm[1] > 0
 
 
 class TestGradObjective:

@@ -76,6 +76,18 @@ class Sized:
         return 1
 
 
+class Half:
+    """Has a length of 2, yields the valid index 0, then fails to iterate."""
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, k):
+        if k:
+            raise TypeError("no second item")
+        return 0
+
+
 def _rand_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
@@ -282,17 +294,20 @@ class TestChannelOracle:
             {"entries": ((np.True_, 0), (2, 1), (0.5, 0.5))},
             {"entries": ((2, 1), (0, np.True_), (0.5, 0.5))},
             {"entries": (Sized(), (0,), (1.0,))},  # has a length, cannot be iterated
+            {"entries": (Half(), (0, 0), (1.0, 1.0))},  # fails after a valid index
         ],
         ids=["negative-row", "negative-col", "col-too-large", "row-too-large",
              "short-cols", "short-weights", "both-forms", "neither-form",
              "bool-row", "bool-col", "float-row", "numpy-bool-row", "numpy-bool-col",
-             "sized-rows"],
+             "sized-rows", "partly-iterable-rows"],
     )
     def test_bad_entries_rejected_before_counting(self, kwargs):
         oracle = ChannelOracle(random_unitary(3, 34))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             oracle.expectation(random_density(3, 35), **kwargs)
         assert oracle.queries == 0
+        # a message that names an index names a bad one
+        assert not re.search(r"index [012] is", str(err.value)), err.value
 
     def test_empty_entries_read_zero_and_count_once(self):
         oracle = ChannelOracle(random_unitary(3, 36))
